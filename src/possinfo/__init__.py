@@ -6,7 +6,7 @@ rearrangement and the continuous information integral, discrete
 convergence, and maximum-uncertainty inference under linear constraints.
 """
 
-from .approx_types import ConvergenceEntry, ConvergenceSeries
+from .approximation import ConvergenceEntry, ConvergenceSeries
 from .approximation import approx_info, convergence_series, discretize
 from .continuous import (
     LevelMeasure,

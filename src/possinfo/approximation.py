@@ -11,14 +11,56 @@ U = ln(n!) / n exactly and Stirling's formula gives ln n - U -> 1.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_types import ConvergenceEntry, ConvergenceSeries
 from .discrete import DiscreteDistribution
 from .measures import u_uncertainty
 
 _GRIDS = ("left", "right")
+
+
+@dataclass(frozen=True)
+class ConvergenceEntry:
+    n: int
+    u_value: float
+    approx_info: float
+
+
+class ConvergenceSeries:
+    """Entries (n, U, ln n - U) for strictly increasing sample counts."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        entries = tuple(
+            e if isinstance(e, ConvergenceEntry) else ConvergenceEntry(*e) for e in entries
+        )
+        ns = [e.n for e in entries]
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValueError("sample counts must be strictly increasing")
+        for e in entries:
+            if not math.isfinite(e.approx_info):
+                raise ValueError(f"approx_info must be finite, got {e.approx_info!r}")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConvergenceSeries is immutable")
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvergenceSeries):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self):
+        return f"ConvergenceSeries({len(self.entries)} entries)"
 
 
 def discretize(f, n, grid="left"):

@@ -115,9 +115,6 @@ class JointDistribution:
     def __repr__(self):
         return f"JointDistribution({len(self.row_labels)}x{len(self.col_labels)})"
 
-    def shape(self):
-        return (len(self.row_labels), len(self.col_labels))
-
     def as_array(self):
         return np.asarray(self.values, dtype=float)
 

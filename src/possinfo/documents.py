@@ -9,7 +9,7 @@ timestamps.
 import json
 import math
 
-from .approx_types import ConvergenceSeries
+from .approximation import ConvergenceSeries
 from .continuous import PiecewisePossibility
 from .discrete import DiscreteDistribution
 from .errors import SchemaError

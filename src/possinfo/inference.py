@@ -4,13 +4,14 @@ Given linear constraints on an unknown assignment, pick the admissible
 one carrying maximum U-uncertainty, or the one closest to a prior in an
 information metric (G or K).
 
-U is linear in the values once their descending order is fixed, so
-``solve_max_u`` enumerates orderings, solves one small exact LP per
-chain region, and keeps the best vertex.  ``solve_min_distance`` runs
-multi-start coordinate descent over the feasible polytope; the 1-D slices
-of G and K are piecewise linear, so each step minimizes exactly over the
-candidate kink points.  ``brute_force_oracle`` scans a grid and validates
-both solvers in the tests.
+U is convex on each region where one fixed coordinate is largest, so its
+maximum sits at a vertex of such a region: ``solve_max_u`` enumerates
+those vertices exactly in rationals and keeps the best one.
+``solve_min_distance`` runs multi-start coordinate descent over the
+feasible polytope from the same vertices; the 1-D slices of G and K are
+piecewise linear, so each step minimizes exactly over the candidate kink
+points.  ``brute_force_oracle`` scans a grid and validates both solvers
+in the tests.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import numpy as np
 
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
-from .measures import big_g, big_k, u_uncertainty
+from .measures import _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
 from .simplex import feasible_point, solve_lp
 
 _RELS = ("<=", ">=", "=")
@@ -152,95 +153,136 @@ def _position_weights(n):
     return out
 
 
-def _lex_refine(n, region_rows, objective, best):
-    """Lexicographically largest point of the optimal face of one region."""
-    rows = list(region_rows)
-    rows.append((list(objective), "=", best))
-    point = []
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        res = solve_lp(n, e, rows)
-        if res.status != "optimal":  # numerically impossible; stay safe
+def _integer_rows(problem):
+    """Constraint rows scaled exactly to integers (floats are dyadic rationals)."""
+    rows = []
+    for c in problem.constraints:
+        exact = [Fraction(a) for a in c.coefficients] + [Fraction(c.bound)]
+        scale = math.lcm(*(x.denominator for x in exact))
+        ints = [int(x * scale) for x in exact]
+        rows.append((ints[:-1], c.relation, ints[-1]))
+    return rows
+
+
+def _satisfies(rows, numerators, den):
+    """Whether the point numerators / den satisfies every integer row."""
+    for coeffs, rel, bound in rows:
+        lhs = sum(a * x for a, x in zip(coeffs, numerators))
+        if (rel != ">=" and lhs > bound * den) or (rel != "<=" and lhs < bound * den):
+            return False
+    return True
+
+
+def _solve_integer(matrix, rhs):
+    """Solve an integer square system as (numerators, den > 0), or None if singular.
+
+    Fraction-free Gauss-Jordan elimination: every division is exact, and
+    at the end every diagonal entry equals the last pivot, which is the
+    determinant up to sign.
+    """
+    k = len(rhs)
+    m = [row + [b] for row, b in zip(matrix, rhs)]
+    det = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if m[r][c]), None)
+        if p is None:
             return None
-        point.append(res.objective)
-        row = [0.0] * n
-        row[i] = 1.0
-        rows.append((row, "=", res.objective))
-    return tuple(point)
+        m[c], m[p] = m[p], m[c]
+        piv = m[c][c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(piv * x - f * y) // det for x, y in zip(m[r], m[c])]
+        det = piv
+    sign = 1 if det > 0 else -1
+    return [sign * row[k] for row in m], sign * det
+
+
+def _pin_vertices(n, rows, pin):
+    """Vertices of the region where coordinate ``pin`` holds a largest value.
+
+    ``rows`` carry the region's own rows on v_pin.  At a vertex every other
+    coordinate is 0, tied to v_pin, or free, and the unknowns (v_pin and
+    the free values) solve as many rows read as equalities; a solution is
+    kept when it lies in the region and satisfies every row.
+    """
+    others = [j for j in range(n) if j != pin]
+    found = set()
+    for states in itertools.product((0, 1, 2), repeat=n - 1):  # zero, tied, free
+        free = [j for j, s in zip(others, states) if s == 2]
+        tied = [pin] + [j for j, s in zip(others, states) if s == 1]
+        for chosen in itertools.combinations(rows, len(free) + 1):
+            matrix = [[sum(a[j] for j in tied)] + [a[j] for j in free] for a, _, _ in chosen]
+            sol = _solve_integer(matrix, [b for _, _, b in chosen])
+            if sol is None:
+                continue
+            (t, *values), den = sol
+            point = [0] * n
+            for j in tied:
+                point[j] = t
+            for j, x in zip(free, values):
+                point[j] = x
+            if all(0 <= x <= t for x in point) and _satisfies(rows, point, den):
+                found.add(tuple(Fraction(x, den) for x in point))
+    return found
+
+
+def _region_vertices(problem):
+    """Per coordinate i, the vertices of the feasible region where v_i is largest.
+
+    Normalized, that region is v_i = 1; unnormalized, it is v_j <= v_i for
+    all j.  Each list is sorted lexicographically descending.
+    """
+    n = len(problem.labels)
+    rows = _integer_rows(problem)
+    out = []
+    for i in range(n):
+        unit = [int(j == i) for j in range(n)]
+        if problem.require_normalized:
+            region = [(unit, "=", 1)]
+        else:
+            region = [(unit, "<=", 1), (unit, ">=", 0)]
+        out.append(sorted(_pin_vertices(n, rows + region, i), reverse=True))
+    return out
+
+
+def _max_u_vertices(n, vertices):
+    """Vertices of exactly maximal U, lexicographically descending."""
+    weights = _position_weights(n)
+    scores = {v: sum(w * x for w, x in zip(weights, sorted(v, reverse=True))) for v in vertices}
+    best = max(scores.values())
+    return sorted((v for v, s in scores.items() if s == best), reverse=True)
 
 
 def solve_max_u(problem):
-    """Feasible assignment of maximal U-uncertainty, by ordering enumeration.
+    """Feasible assignment of maximal U-uncertainty, by exact vertex enumeration.
 
-    For each descending ordering of the coordinates the chain constraints
-    make U a fixed linear functional; each region LP is solved exactly and
-    the best vertex wins.  Ties are broken toward the lexicographically
-    largest value vector.  When normalization is required, the leading
-    coordinate of each chain is pinned to 1.
+    With the largest coordinate v_i fixed, U = -ln 2 * v_i + sum_{k>=2}
+    (w_k - w_{k+1}) * S_k, where S_k is the sum of the k largest values,
+    the weights w_k = ln k - ln(k-1) decrease and w_{n+1} = 0.  So U is
+    convex on the region where v_i is largest and, by Bauer's maximum
+    principle, attains its maximum at a vertex.  Its argmax set is a union
+    of faces, so the lexicographically largest maximizer, which breaks
+    ties, is a vertex too.  Vertices are enumerated exactly in rationals
+    and scored with the rational images of the float weights.
     """
     if not isinstance(problem.objective, MaxU):
         raise ValueError("solve_max_u requires a MaxU objective")
     n = len(problem.labels)
     if n > _MAX_U_SIZE:
-        raise ValueError(f"ordering enumeration is capped at {_MAX_U_SIZE} labels")
-    weights = _position_weights(n)
-    base = _base_rows(problem)
-
-    records = []
-    best = None
-    optimal = []  # (ordering, objective coeffs, region rows, vertex)
-    for s in itertools.permutations(range(n)):
-        rows = list(base)
-        for k in range(n - 1):
-            row = [0.0] * n
-            row[s[k]] = 1.0
-            row[s[k + 1]] = -1.0
-            rows.append((row, ">=", 0.0))
-        if problem.require_normalized:
-            row = [0.0] * n
-            row[s[0]] = 1.0
-            rows.append((row, "=", 1.0))
-        objective = [Fraction(0)] * n
-        for k in range(n):
-            objective[s[k]] = weights[k]
-        res = solve_lp(n, objective, rows)
-        records.append(
-            {
-                "ordering": s,
-                "status": res.status,
-                "objective": float(res.objective) if res.status == "optimal" else None,
-            }
-        )
-        if res.status != "optimal":
-            continue
-        if best is None or res.objective > best:
-            best = res.objective
-            optimal = [(s, objective, rows, res.x)]
-        elif res.objective == best:
-            optimal.append((s, objective, rows, res.x))
-
-    if best is None:
+        raise ValueError(f"vertex enumeration is capped at {_MAX_U_SIZE} labels")
+    vertices = set().union(*_region_vertices(problem))
+    if not vertices:
         _raise_infeasible(problem, "maximum-uncertainty selection")
-
-    candidates = []
-    for s, objective, rows, vertex in optimal[:24]:  # refinement cap; vertices kept below
-        refined = _lex_refine(n, rows, objective, best)
-        candidates.append(refined if refined is not None else vertex)
-    for _, _, _, vertex in optimal[24:]:
-        candidates.append(vertex)
-    unique = sorted(set(candidates), reverse=True)
-    chosen = unique[0]
-
-    values = [float(v) for v in chosen]
-    dist = DiscreteDistribution(problem.labels, values)
+    optimal = _max_u_vertices(n, vertices)
+    values = [float(x) for x in optimal[0]]
     if not _check_feasible(values, problem):
         raise InfeasibleProblemError("internal error: solver produced an infeasible point")
+    dist = DiscreteDistribution(problem.labels, values)
     certificate = {
-        "method": "ordering-enumeration",
-        "orderings": records,
-        "optimal_orderings": [s for s, _, _, _ in optimal],
-        "candidates": [tuple(float(v) for v in c) for c in unique],
+        "method": "vertex enumeration",
+        "vertices": len(vertices),
+        "candidates": [tuple(float(x) for x in v) for v in optimal],
     }
     return InferenceSolution(dist, u_uncertainty(dist), certificate)
 
@@ -249,23 +291,10 @@ def solve_max_u(problem):
 # minimum-distance posterior
 
 
-def _u_rows(arr):
-    n = arr.shape[1]
-    if n == 1:
-        return np.zeros(arr.shape[0])
-    p = -np.sort(-arr, axis=1)
-    w = np.diff(np.log(np.arange(1, n + 1)))
-    return p[:, 1:] @ w
-
-
-def _u_vec(values):
-    return float(_u_rows(np.asarray(values, dtype=float)[None, :])[0])
-
-
 def _g_pair(v, p):
     j = np.maximum(v, p)
-    uj = _u_vec(j)
-    return uj - _u_vec(v), uj - _u_vec(p)
+    uj = _u_of_values(j)
+    return uj - _u_of_values(v), uj - _u_of_values(p)
 
 
 def _distance(v, p, metric):
@@ -403,23 +432,7 @@ def _search_directions(n, problem, pin, metric):
             d[i] = coeffs[j]
             d[j] = -coeffs[i]
             directions.append(tuple(d))
-    seen = set()
-    unique = []
-    for d in directions:
-        if d not in seen:
-            seen.add(d)
-            unique.append(d)
-    return unique
-
-
-def _vertex_starts(n, rows, rng, count):
-    out = []
-    for _ in range(count):
-        c = rng.standard_normal(n)
-        res = solve_lp(n, [Fraction(x) for x in c], rows)
-        if res.status == "optimal":
-            out.append(tuple(float(x) for x in res.x))
-    return out
+    return list(dict.fromkeys(directions))  # drop repeats, keep the order
 
 
 def _l1_projection(n, rows, target):
@@ -443,11 +456,12 @@ def _l1_projection(n, rows, target):
     return tuple(float(x) for x in res.x[:n])
 
 
-def solve_min_distance(problem, vertex_starts=8):
+def solve_min_distance(problem):
     """Feasible assignment minimizing the G or K distance to the prior.
 
     Multi-start projected coordinate descent: starts are the L1 projection
-    of the prior, the maximum-U solution, and sampled polytope vertices;
+    of the prior, the maximum-U vertex, the prior when feasible, and every
+    enumerated vertex of the region in lexicographically descending order;
     when normalization is required the coordinate attaining 1 is
     enumerated.  The grid oracle certifies the result in the tests, not at
     runtime.
@@ -460,59 +474,43 @@ def solve_min_distance(problem, vertex_starts=8):
     metric = problem.objective.metric
     prior = np.asarray(problem.objective.prior.values, dtype=float)
     base = _base_rows(problem)
-    rng = np.random.default_rng(1729)  # fixed: solver output is a pure function
+    per_pin = _region_vertices(problem)
+    vertices = set().union(*per_pin)
+    if not vertices:
+        _raise_infeasible(problem, "minimum-distance selection")
+    max_u_start = tuple(float(x) for x in _max_u_vertices(n, vertices)[0])
 
-    regions = []  # (rows, pinned coordinate or None)
-    if problem.require_normalized:
-        for i in range(n):
-            row = [0.0] * n
-            row[i] = 1.0
-            rows = base + [(row, "=", 1.0)]
-            if feasible_point(n, rows).status == "optimal":
-                regions.append((rows, i))
-        if not regions:
-            _raise_infeasible(problem, "minimum-distance selection")
+    if problem.require_normalized:  # (rows, pinned coordinate or None, vertices)
+        regions = []
+        for i, pinned in enumerate(per_pin):
+            if pinned:
+                row = [0.0] * n
+                row[i] = 1.0
+                regions.append((base + [(row, "=", 1.0)], i, pinned))
     else:
-        if feasible_point(n, base).status != "optimal":
-            _raise_infeasible(problem, "minimum-distance selection")
-        regions = [(base, None)]
-
-    try:
-        max_u_start = solve_max_u(
-            InferenceProblem(
-                problem.labels,
-                problem.constraints,
-                MaxU(),
-                require_normalized=problem.require_normalized,
-            )
-        ).distribution.values
-    except (InfeasibleProblemError, ValueError):
-        max_u_start = None
+        regions = [(base, None, sorted(vertices, reverse=True))]
 
     finalists = []
-    pins = []
-    for rows, pin in regions:
-        pins.append(pin)
+    for rows, pin, vertices in regions:
         directions = _search_directions(n, problem, pin, metric)
         starts = []
         proj = _l1_projection(n, rows, prior)
         if proj is not None:
             starts.append(proj)
-        if max_u_start is not None and (pin is None or max_u_start[pin] == 1.0):
+        if pin is None or max_u_start[pin] == 1.0:
             starts.append(max_u_start)
         if _check_feasible(prior, problem) and (pin is None or prior[pin] == 1.0):
             starts.append(tuple(prior))
-        starts.extend(_vertex_starts(n, rows, rng, vertex_starts))
+        starts.extend(tuple(float(x) for x in v) for v in vertices)
+        # pairwise midpoints of the first starts, capped to bound the work
         midpoints = [
             tuple((np.asarray(a) + np.asarray(b)) / 2.0)
-            for a, b in itertools.combinations(starts[: vertex_starts + 3], 2)
+            for a, b in itertools.combinations(starts[:11], 2)
         ]
-        for s in itertools.chain(starts, midpoints[: 2 * vertex_starts]):
+        for s in itertools.chain(starts, midpoints[:16]):
             point, value = _descend(s, rows, prior, metric, directions)
             finalists.append((value, point))
 
-    if not finalists:
-        _raise_infeasible(problem, "minimum-distance selection")
     best_val = min(v for v, _ in finalists)
     tied = sorted({p for v, p in finalists if v <= best_val + 1e-12}, reverse=True)
     chosen = tied[0]
@@ -523,7 +521,7 @@ def solve_min_distance(problem, vertex_starts=8):
     certificate = {
         "method": "multi-start coordinate descent",
         "metric": metric,
-        "pinned_coordinates": pins,
+        "pinned_coordinates": [pin for _, pin, _ in regions],
         "starts": len(finalists),
         "tied_optima": [tuple(p) for p in tied],
     }
@@ -572,13 +570,13 @@ def brute_force_oracle(problem, resolution):
         feasible_count += len(rows)
         if minimize:
             j = np.maximum(rows, prior)
-            uj = _u_rows(j)
-            uv = _u_rows(rows)
-            up = _u_vec(prior)
+            uj = _u_of_rows(j)
+            uv = _u_of_rows(rows)
+            up = _u_of_values(prior)
             obj = (uj - uv) + (uj - up) if metric == "G" else uj - np.minimum(uv, up)
             obj = -obj  # track maxima uniformly
         else:
-            obj = _u_rows(rows)
+            obj = _u_of_rows(rows)
         top = obj.max()
         tied = rows[obj >= top - 1e-12]
         order = np.lexsort(tuple(tied[:, j] for j in range(n - 1, -1, -1)))

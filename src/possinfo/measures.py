@@ -41,11 +41,14 @@ def _log_weights(n):
     return np.diff(np.log(np.arange(1, n + 1)))
 
 
+def _u_of_rows(values):
+    """U of each row (last axis); a row and the same values alone agree bit for bit."""
+    p = np.sort(values, axis=-1)[..., ::-1]
+    return p[..., 1:] @ _log_weights(p.shape[-1])  # empty product: 0.0 for one value
+
+
 def _u_of_values(values):
-    p = np.sort(values)[::-1]
-    if p.size <= 1:
-        return 0.0
-    return float(p[1:] @ _log_weights(p.size))
+    return float(_u_of_rows(values))
 
 
 def u_uncertainty(d):

@@ -6,12 +6,15 @@ set measures via direct per-segment interval arithmetic.  They exist so
 the main code paths can be checked against independently computed values.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from possinfo import DiscreteDistribution, PiecewisePossibility
+from possinfo.simplex import solve_lp
 
 
 def u_by_level_counts(values):
@@ -40,6 +43,53 @@ def segment_level_set_measure(f, alpha):
         elif alpha <= hi:
             total += w * (hi - alpha) / (hi - lo)
     return total
+
+
+def _unit(n, i, value=1.0):
+    return [value if j == i else 0.0 for j in range(n)]
+
+
+def max_u_by_orderings(problem):
+    """Exact maximum of U and its lexicographically largest maximizer, or None.
+
+    U is linear on each chain region v_s1 >= v_s2 >= ... >= v_sn, so one
+    exact LP per descending ordering s gives the optimum, and n more LPs
+    per optimal region pin the lexicographically largest point of its
+    optimal face.  The weights are the rational images of the float
+    logarithms, as in the library.  Cost grows as n!, so keep n <= 4.
+    """
+    n = len(problem.labels)
+    weights = [Fraction(0)] + [Fraction(math.log(k) - math.log(k - 1)) for k in range(2, n + 1)]
+    base = [(list(c.coefficients), c.relation, c.bound) for c in problem.constraints]
+    base += [(_unit(n, i), "<=", 1.0) for i in range(n)]
+    best, optimal_faces = None, []
+    for s in itertools.permutations(range(n)):
+        rows = list(base)
+        for a, b in zip(s, s[1:]):
+            rows.append(([x + y for x, y in zip(_unit(n, a), _unit(n, b, -1.0))], ">=", 0.0))
+        if problem.require_normalized:
+            rows.append((_unit(n, s[0]), "=", 1.0))
+        objective = [Fraction(0)] * n
+        for k, j in enumerate(s):
+            objective[j] = weights[k]
+        res = solve_lp(n, objective, rows)
+        if res.status != "optimal":
+            continue
+        if best is None or res.objective > best:
+            best, optimal_faces = res.objective, []
+        if res.objective == best:
+            optimal_faces.append(rows + [(objective, "=", best)])
+    if best is None:
+        return None
+    points = []
+    for rows in optimal_faces:
+        point = []
+        for i in range(n):
+            res = solve_lp(n, _unit(n, i), rows)
+            point.append(res.objective)
+            rows = rows + [(_unit(n, i), "=", res.objective)]
+        points.append(tuple(point))
+    return best, max(points)
 
 
 def random_normalized_values(rng, n, grid=None):

@@ -21,6 +21,8 @@ from possinfo import (
 )
 from possinfo.simplex import feasible_point, solve_lp
 
+from conftest import max_u_by_orderings
+
 LN2 = math.log(2.0)
 
 
@@ -101,10 +103,58 @@ class TestSolveMaxU:
         assert sol.objective_value == pytest.approx(0.5 * LN2, abs=1e-12)
         assert set(sol.certificate["candidates"]) == {(1.0, 0.5), (0.5, 1.0)}
 
-    def test_certificate_reports_every_ordering(self):
+    def test_certificate_counts_vertices(self):
+        # every 0/1 vector with a 1 somewhere; only the all-ones one is optimal
         sol = solve_max_u(problem(("a", "b", "c"), ()))
-        assert len(sol.certificate["orderings"]) == 6
-        assert all(r["status"] == "optimal" for r in sol.certificate["orderings"])
+        assert sol.certificate == {
+            "method": "vertex enumeration",
+            "vertices": 7,
+            "candidates": [(1.0, 1.0, 1.0)],
+        }
+        sol = solve_max_u(problem(("a", "b", "c"), (), normalized=False))
+        assert sol.certificate["vertices"] == 8  # the origin joins them
+
+    def test_matches_ordering_oracle_exactly(self, rng):
+        # the returned vertex is the oracle's lexicographically largest
+        # maximizer, whose exact U is the oracle optimum
+        checked = 0
+        while checked < 200:
+            normalized = checked % 2 == 0
+            n = int(rng.integers(1, 5))
+            w = rng.integers(0, 11, n) / 10.0
+            w[rng.integers(n)] = 1.0
+            cons = []
+            for rel, offset in (("<=", 0.1), (">=", -0.1), ("=", 0.0)):
+                for _ in range(int(rng.integers(0, 2))):
+                    c = rng.integers(-10, 11, n) / 10.0
+                    if not np.any(c):
+                        c[0] = 1.0
+                    cons.append(LinearConstraint(tuple(c), rel, float(c @ w) + offset))
+            prob = problem(tuple(f"x{i}" for i in range(n)), tuple(cons), normalized=normalized)
+            oracle = max_u_by_orderings(prob)
+            if oracle is None:
+                with pytest.raises(InfeasibleProblemError):
+                    solve_max_u(prob)
+                continue
+            best, point = oracle
+            weights = [Fraction(0)]
+            weights += [Fraction(math.log(k) - math.log(k - 1)) for k in range(2, n + 1)]
+            assert sum(a * x for a, x in zip(weights, sorted(point, reverse=True))) == best
+            sol = solve_max_u(prob)
+            assert sol.distribution.values == tuple(float(x) for x in point)
+            assert sol.objective_value == u_uncertainty(sol.distribution)
+            checked += 1
+
+    def test_eight_label_budget_closed_form(self):
+        # sum(v) <= k + 0.5: U's weights decrease, so the budget fills k
+        # coordinates to 1 and the next to 0.5; ties break lexicographically
+        labels = tuple(f"x{i}" for i in range(8))
+        for k in (1, 3, 6):
+            cons = (LinearConstraint((1.0,) * 8, "<=", k + 0.5),)
+            sol = solve_max_u(problem(labels, cons))
+            assert sol.distribution.values == (1.0,) * k + (0.5,) + (0.0,) * (7 - k)
+            expected = math.log(k) + 0.5 * (math.log(k + 1) - math.log(k))
+            assert sol.objective_value == pytest.approx(expected, abs=1e-12)
 
     def test_infeasible_reports_witness(self):
         cons = (LinearConstraint((1, 0), ">=", 0.8), LinearConstraint((1, 0), "<=", 0.3))

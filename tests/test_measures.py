@@ -22,6 +22,7 @@ from possinfo import (
     permute,
     u_uncertainty,
 )
+from possinfo.measures import _u_of_rows
 
 from conftest import (
     random_distribution,
@@ -55,6 +56,15 @@ class TestUUncertainty:
 
     def test_singleton(self):
         assert u_uncertainty(D(0.7)) == 0.0
+
+    def test_row_kernel_bit_identical_to_u_uncertainty(self, rng):
+        # the solvers and the grid oracle score many rows at once; a batched
+        # row must give exactly the bits of the same values passed alone
+        for n in (1, 2, 3, 5, 8, 17, 100, 1000):
+            rows = rng.uniform(0.0, 1.0, (40, n))
+            rows[:, int(rng.integers(n))] = 1.0
+            single = [u_uncertainty(D(*r)) for r in rows]
+            assert _u_of_rows(rows).tobytes() == np.array(single).tobytes()
 
     def test_matches_level_count_integral(self, rng):
         for _ in range(300):
