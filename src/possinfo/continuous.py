@@ -30,6 +30,18 @@ from .errors import DivergenceError, OrderViolationError
 _SNAP = 1e-12
 
 
+def _float_array(values):
+    """A new float array from an array, a sequence or any other iterable."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    return np.array(values, dtype=float)
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 class PiecewisePossibility:
     """Piecewise-linear function on [0, 1] with values in [0, 1].
 
@@ -37,27 +49,34 @@ class PiecewisePossibility:
     values interpolate linearly in between.  Normalized means the maximum
     breakpoint value reaches 1 within ``NORMALIZATION_TOL`` (for a
     piecewise-linear function the sup is attained at a breakpoint).
+    The breakpoints may be given as any iterable of (x, value) pairs or as
+    an n-by-2 array; ``xs`` and ``vs`` are read-only arrays, and the
+    ``points`` tuple is built on first use.
     """
 
-    __slots__ = ("points", "_xs", "_vs", "is_normalized")
+    __slots__ = ("_xs", "_vs", "_points", "is_normalized")
 
     def __init__(self, points):
-        pts = tuple((float(x), float(v)) for x, v in points)
+        pts = _float_array(points)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        xs = [x for x, _ in pts]
-        vs = [v for _, v in pts]
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("breakpoints must be (x, value) pairs")
+        xs, vs = _frozen(pts.T.copy())
         if xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ValueError(f"domain must be exactly [0, 1], got [{xs[0]}, {xs[-1]}]")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ValueError(
+                f"domain must be exactly [0, 1], got [{float(xs[0])}, {float(xs[-1])}]"
+            )
+        if not (xs[1:] > xs[:-1]).all():
             raise ValueError("x-coordinates must be strictly increasing")
-        for i, v in enumerate(vs):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"value at breakpoint {i} outside [0, 1]: {v!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_xs", np.asarray(xs))
-        object.__setattr__(self, "_vs", np.asarray(vs))
-        object.__setattr__(self, "is_normalized", max(vs) >= 1.0 - NORMALIZATION_TOL)
+        inside = (vs >= 0.0) & (vs <= 1.0)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValueError(f"value at breakpoint {i} outside [0, 1]: {float(vs[i])!r}")
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_vs", vs)
+        object.__setattr__(self, "_points", None)
+        object.__setattr__(self, "is_normalized", bool(vs.max() >= 1.0 - NORMALIZATION_TOL))
 
     def __setattr__(self, name, value):
         raise AttributeError("PiecewisePossibility is immutable")
@@ -71,7 +90,13 @@ class PiecewisePossibility:
         return hash(self.points)
 
     def __repr__(self):
-        return f"PiecewisePossibility({len(self.points)} breakpoints)"
+        return f"PiecewisePossibility({len(self._xs)} breakpoints)"
+
+    @property
+    def points(self):
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(zip(self._xs.tolist(), self._vs.tolist())))
+        return self._points
 
     @property
     def xs(self):
@@ -115,7 +140,7 @@ def sample_function(evaluator, n_breakpoints):
         raise ValueError(
             f"evaluator output outside [0, 1] at x={float(xs[i])!r}: {float(vs[i])!r}"
         )
-    return PiecewisePossibility(zip(xs.tolist(), vs.tolist()))
+    return PiecewisePossibility(np.column_stack((xs, vs)))
 
 
 class LevelMeasure:
@@ -125,25 +150,41 @@ class LevelMeasure:
     degree <= 2, monotone nonincreasing.  P is left-continuous: the piece
     over (b_k, b_{k+1}] owns its upper endpoint, and downward jumps at
     piece boundaries encode plateaus of the underlying function.  ``total``
-    is P(0), the measure of the whole domain.
+    is P(0), the measure of the whole domain.  Coefficient rows are
+    (c0, c1) or (c0, c1, c2), or a K-by-3 array; ``bounds`` and
+    ``coeffs`` are tuples built on first use.
     """
 
-    __slots__ = ("bounds", "coeffs", "total")
+    __slots__ = ("_b", "_c", "_bounds", "_coeffs", "total")
 
     def __init__(self, bounds, coeffs, total):
-        bounds = tuple(float(b) for b in bounds)
-        coeffs = tuple(
-            (float(c[0]), float(c[1]), float(c[2]) if len(c) > 2 else 0.0) for c in coeffs
-        )
-        if len(bounds) != len(coeffs) + 1:
+        b = _float_array(bounds)
+        if not (isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 3):
+            coeffs = [(c[0], c[1], c[2] if len(c) > 2 else 0.0) for c in coeffs]
+        c = _float_array(coeffs).reshape(-1, 3)
+        if len(b) != len(c) + 1:
             raise ValueError("need exactly one more bound than pieces")
-        if bounds[0] != 0.0 or bounds[-1] != 1.0:
+        if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("pieces must cover exactly [0, 1]")
-        if any(b <= a for a, b in zip(bounds, bounds[1:])):
+        if not (b[1:] > b[:-1]).all():
             raise ValueError("bounds must be strictly increasing")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_b", _frozen(b))
+        object.__setattr__(self, "_c", _frozen(c))
+        object.__setattr__(self, "_bounds", None)
+        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "total", float(total))
+
+    @property
+    def bounds(self):
+        if self._bounds is None:
+            object.__setattr__(self, "_bounds", tuple(self._b.tolist()))
+        return self._bounds
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(map(tuple, self._c.tolist())))
+        return self._coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("LevelMeasure is immutable")
@@ -161,7 +202,7 @@ class LevelMeasure:
         return hash((self.bounds, self.coeffs, self.total))
 
     def __repr__(self):
-        return f"LevelMeasure({len(self.coeffs)} pieces, total={self.total:g})"
+        return f"LevelMeasure({len(self._c)} pieces, total={self.total:g})"
 
     @property
     def degree(self):
@@ -198,9 +239,9 @@ def level_measure(f):
 
     Every piece's value and slope is summed freshly over the segments
     spanning it, so no cancellation occurs even when segment slopes vary
-    over many orders of magnitude.  Cost scales with the number of
-    (piece, spanning segment) incidences, which is linear for monotone or
-    few-breakpoint inputs.
+    over many orders of magnitude.  The cost is one array pass over the
+    (piece, spanning segment) incidences, whose number is linear for
+    monotone or few-breakpoint inputs.
     """
     xs, vs = f.xs, f.vs
     x0, x1 = xs[:-1], xs[1:]
@@ -214,8 +255,7 @@ def level_measure(f):
     K = len(b) - 1
 
     nz = np.nonzero(~const)[0]
-    rate = np.zeros(len(w))
-    rate[nz] = w[nz] / (hi[nz] - lo[nz])
+    rate = w[nz] / (hi[nz] - lo[nz])
 
     # full-width mass above a level: non-constant segments with lo >= y
     # plus constant segments with value >= y, via sorted suffix sums
@@ -228,68 +268,84 @@ def level_measure(f):
     def mass_at_or_above(y):
         i = np.searchsorted(lo_sorted, y, side="left")
         j = np.searchsorted(cv_sorted, y, side="left")
-        return float(w_suffix[i]) + float(cw_suffix[j])
+        return w_suffix[i] + cw_suffix[j]
 
-    # spanning segments per piece, maintained as an event-driven active set
-    starts = {}
-    ends = {}
-    for i in nz:
-        starts.setdefault(float(lo[i]), []).append(int(i))
-        ends.setdefault(float(hi[i]), []).append(int(i))
+    # a segment spans the pieces from the one starting at its low value up
+    # to the one ending at its high value: one row per incidence
+    first = np.searchsorted(b, lo[nz])
+    count = np.searchsorted(b, hi[nz]) - first
+    seg = np.repeat(np.arange(len(nz)), count)
+    piece = np.arange(len(seg)) + np.repeat(first - (np.cumsum(count) - count), count)
 
-    coeffs = []
-    active = set()
-    for k in range(K):
-        active.update(starts.get(float(b[k]), ()))
-        y_top = float(b[k + 1])
-        m = -sum(float(rate[i]) for i in active)
-        top = mass_at_or_above(y_top) + sum(
-            float(rate[i]) * (float(hi[i]) - y_top) for i in active
-        )
-        coeffs.append((top - m * y_top, m, 0.0))
-        active.difference_update(ends.get(y_top, ()))
-    total = mass_at_or_above(0.0)
-    return LevelMeasure(b.tolist(), coeffs, total)
+    y_top = b[1:]
+    r = rate[seg]
+    m = 0.0 - np.bincount(piece, weights=r, minlength=K)
+    spanned = np.bincount(piece, weights=r * (hi[nz][seg] - y_top[piece]), minlength=K)
+    top = mass_at_or_above(y_top) + spanned
+    coeffs = np.column_stack((top - m * y_top, m, np.zeros(K)))
+    return LevelMeasure(b, coeffs, float(mass_at_or_above(0.0)))
 
 
-def _invert_monotone_piece(coeffs, ya, yb, x):
-    """Solve P(y) = x on [ya, yb] for a nonincreasing polynomial piece."""
-    c0, c1, c2 = coeffs
-    lo, hi = ya, yb
+def _invert_monotone(c, lo, hi, x):
+    """Solve P(y) = x on [lo, hi] for nonincreasing polynomial pieces, elementwise.
+
+    Each element takes the steps of an 80-step bisection.  The loop ends
+    early once no bracket moves, because that state is a fixed point.
+    """
+    c0, c1, c2 = (np.ascontiguousarray(a) for a in c.T)
+    lo, hi = lo.copy(), hi.copy()
+    mid, p = np.empty_like(lo), np.empty_like(lo)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if c0 + mid * (c1 + mid * c2) > x:
-            lo = mid
-        else:
-            hi = mid
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, c2, out=p)  # p = c0 + mid * (c1 + mid * c2)
+        p += c1
+        p *= mid
+        p += c0
+        above = p > x
+        if not np.where(above, mid != lo, mid != hi).any():
+            break
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, mid, where=~above)
     return 0.5 * (lo + hi)
 
 
-def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
-    """Sampled inverse graph of a quadratic piece, from (pb, yb) to (pa, ya).
+def _quad_inverse_points(c, ya, yb, pa, pb, tol):
+    """Sampled inverse graphs of quadratic pieces, refined breadth-first.
 
-    Subdivides until the chord midpoint is within tol/2 of the true
-    inverse, which bounds the sup-norm error of the interpolant by tol for
-    the convex/concave inverse of a monotone quadratic.
+    The graph of piece j runs from (pb[j], yb[j]) to (pa[j], ya[j]).  An
+    interval is halved until the chord midpoint is within tol/2 of the
+    true inverse, which bounds the sup-norm error of the interpolant by
+    tol for the convex/concave inverse of a monotone quadratic.  All
+    intervals of one depth are inverted together.  Returns the piece, x
+    and y of every final interval's right end, sorted by piece and x.
     """
-    out = [(pb, yb)]
-
-    def refine(x0, y0, x1, y1, depth):
+    if not len(c):
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+    found = []
+    j = np.arange(len(c))
+    x0, y0, x1, y1 = pb, yb, pa, ya
+    for _ in range(64):
         # the 8e-15 width floor keeps generated points clear of the
         # domain-end snapping in rearrange()
-        if x1 - x0 <= 8e-15 or depth >= 64:
-            out.append((x1, y1))
-            return
-        xm = 0.5 * (x0 + x1)
-        ym = _invert_monotone_piece(coeffs, ya, yb, xm)
-        if abs(ym - 0.5 * (y0 + y1)) <= 0.5 * tol:
-            out.append((x1, y1))
-            return
-        refine(x0, y0, xm, ym, depth + 1)
-        refine(xm, ym, x1, y1, depth + 1)
-
-    refine(pb, yb, pa, ya, 0)
-    return out
+        s = np.flatnonzero(~(x1 - x0 <= 8e-15))
+        xm = 0.5 * (x0[s] + x1[s])
+        ym = _invert_monotone(c[j[s]], ya[j[s]], yb[j[s]], xm)
+        far = ~(np.abs(ym - 0.5 * (y0[s] + y1[s])) <= 0.5 * tol)
+        done = np.ones(len(j), dtype=bool)
+        done[s[far]] = False
+        found.append((j[done], x1[done], y1[done]))
+        s, xm, ym = s[far], xm[far], ym[far]
+        j = np.concatenate((j[s], j[s]))
+        x0, x1 = np.concatenate((x0[s], xm)), np.concatenate((xm, x1[s]))
+        y0, y1 = np.concatenate((y0[s], ym)), np.concatenate((ym, y1[s]))
+        if not s.size:
+            break
+    else:
+        found.append((j, x1, y1))  # depth 64 ends every interval
+    j, x, y = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((x, j))
+    return j[order], x[order], y[order]
 
 
 def rearrange(level, tol=1e-9):
@@ -299,57 +355,57 @@ def rearrange(level, tol=1e-9):
     measure{f~ >= a} = P(a) for every level a.  Linear pieces invert
     exactly; quadratic pieces are inverted by bisection at adaptively
     inserted breakpoints until the interpolant is within ``tol`` sup-norm.
-    Plateaus of P (possible only at its extreme values for measures built
-    here) become the single jump allowed at the domain ends; jumps of P
-    become plateaus of f~.
+    The insertion is breadth-first over all quadratic pieces at once and
+    yields the same points as refining each piece depth-first.  Plateaus
+    of P (possible only at its extreme values for measures built here)
+    become the single jump allowed at the domain ends; jumps of P become
+    plateaus of f~.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
-    b = level.bounds
-    K = len(level.coeffs)
-    raw = []
-    top_val = level.piece_value(K - 1, b[K])  # P(1)
-    if top_val > _SNAP:
-        raw.append((0.0, 1.0))
-    for k in range(K - 1, -1, -1):
-        ya, yb = b[k], b[k + 1]
-        pa = level.piece_value(k, ya)
-        pb = level.piece_value(k, yb)
-        if pa > pb and level.coeffs[k][2] != 0.0:
-            raw.extend(_quad_inverse_points(level.coeffs[k], ya, yb, pa, pb, tol))
-        else:
-            # Linear pieces invert exactly; plateau pieces (pa == pb)
-            # collapse to a single x and encode a jump of f~ there.
-            raw.append((pb, yb))
-            raw.append((pa, ya))
-    raw.append((level.total, 0.0))
+    b, c = level._b, level._c
+    K = len(c)
+    ya, yb = b[:-1], b[1:]
+    pa = c[:, 0] + ya * (c[:, 1] + ya * c[:, 2])
+    pb = c[:, 0] + yb * (c[:, 1] + yb * c[:, 2])
+    quad = (pa > pb) & (c[:, 2] != 0.0)
+    lin = np.flatnonzero(~quad)
+    q = np.flatnonzero(quad)
+    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q], tol)
+
+    # Piece k, from the top level down, contributes (pb, yb) and then
+    # (pa, ya) when linear or its refinement points when quadratic.
+    # Plateau pieces (pa == pb) collapse to a single x and encode a jump
+    # of f~ there.  A leading (0, 1) carries the mass of P(1) > 0.
+    size = np.full(K, 2)
+    size[q] = 1 + np.bincount(qj, minlength=len(q))
+    head = int(pb[-1] > _SNAP)
+    start = head + np.cumsum(size[::-1])[::-1] - size
+    n = head + int(size.sum()) + 1
+    x, y = np.empty(n), np.empty(n)
+    x[0], y[0] = 0.0, 1.0
+    x[-1], y[-1] = level.total, 0.0
+    x[start], y[start] = pb, yb
+    x[start[lin] + 1], y[start[lin] + 1] = pa[lin], ya[lin]
+    at = start[q[qj]] + 1 + np.arange(len(qj)) - np.searchsorted(qj, qj)
+    x[at], y[at] = qx, qy
 
     # Snap x values near the domain ends (total is 1 within tolerance),
     # force monotonicity against ulp wobble, then collapse duplicate-x
     # runs: keep the lowest y (the right-continuous inverse) except at the
     # right end, where the left limit keeps f~ representable without a jump.
-    pts = []
-    prev_x = 0.0
-    for x, y in raw:
-        if x < 1e-15:  # below the quad-refinement width floor
-            x = 0.0
-        elif x >= 1.0 or abs(x - level.total) < _SNAP:
-            x = 1.0
-        x = max(x, prev_x)
-        prev_x = x
-        pts.append((x, y))
-
-    cleaned = []
-    for x, y in pts:
-        if cleaned and cleaned[-1][0] == x:
-            if x == 1.0:
-                continue  # keep the first (highest) value at the right end
-            cleaned[-1] = (x, y)
-        else:
-            cleaned.append((x, y))
-    if cleaned[-1][0] != 1.0:
-        cleaned.append((1.0, cleaned[-1][1]))
-    return PiecewisePossibility(cleaned)
+    near_end = (x >= 1.0) | (np.abs(x - level.total) < _SNAP)
+    x = np.where(x < 1e-15, 0.0, np.where(near_end, 1.0, x))  # 1e-15: the quad width floor
+    x = np.maximum.accumulate(x)
+    same = x[1:] == x[:-1]
+    at_one = x == 1.0
+    keep = np.ones(n, dtype=bool)
+    keep[:-1] &= ~same | at_one[:-1]
+    keep[1:] &= ~same | ~at_one[1:]
+    x, y = x[keep], y[keep]
+    if x[-1] != 1.0:
+        x, y = np.append(x, 1.0), np.append(y, y[-1])
+    return PiecewisePossibility(np.column_stack((x, y)))
 
 
 def _info_of_descending(ft):
@@ -361,18 +417,15 @@ def _info_of_descending(ft):
             "information integral diverges at 0: the distribution is subnormal "
             f"(sup = {vs[0]!r} < 1)"
         )
-    total = 0.0
-    u_prev = 0.0  # u at the left end of the current segment; exactly 0 at x = 0
-    for i in range(len(xs) - 1):
-        a, bx = float(xs[i]), float(xs[i + 1])
-        ua = u_prev if i == 0 else float(u[i])
-        ub = float(u[i + 1])
-        s = (ub - ua) / (bx - a)
-        if a == 0.0:
-            total += s * bx
-        else:
-            total += (ua - s * a) * (math.log(bx) - math.log(a)) + s * (bx - a)
-    return total
+    a, bx = xs[:-1], xs[1:]
+    ua = np.concatenate(([0.0], u[1:-1]))  # u at the left ends; exactly 0 at x = 0
+    ub = u[1:]
+    s = (ub - ua) / (bx - a)
+    terms = s * bx  # the first segment starts at a = 0
+    terms[1:] = (ua[1:] - s[1:] * a[1:]) * (np.log(bx[1:]) - np.log(a[1:])) + s[1:] * (
+        bx[1:] - a[1:]
+    )
+    return math.fsum(terms.tolist())
 
 
 def info(f):
@@ -473,50 +526,42 @@ def product_level(p1, p2):
     measures multiply.  Pieces multiply on the common refinement; the
     result must stay within degree 2.
     """
-    bounds = sorted(set(p1.bounds) | set(p2.bounds))
-    coeffs = []
-    for a, b in zip(bounds, bounds[1:]):
-        k1 = min(bisect.bisect_left(p1.bounds, b) - 1, len(p1.coeffs) - 1)
-        k2 = min(bisect.bisect_left(p2.bounds, b) - 1, len(p2.coeffs) - 1)
-        c = np.polynomial.polynomial.polymul(p1.coeffs[k1], p2.coeffs[k2])
-        c = np.trim_zeros(c, "b")
-        if len(c) > 3:
-            raise ValueError(
-                "degree overflow: the product of these level measures exceeds degree 2"
-            )
-        c = tuple(float(x) for x in c) + (0.0,) * (3 - len(c))
-        coeffs.append(c)
+    bounds = np.union1d(p1._b, p2._b)
+    upper = bounds[1:]
+    k1 = np.minimum(np.searchsorted(p1._b, upper) - 1, len(p1._c) - 1)
+    k2 = np.minimum(np.searchsorted(p2._b, upper) - 1, len(p2._c) - 1)
+    a0, a1, a2 = p1._c[k1].T
+    b0, b1, b2 = p2._c[k2].T
+    if np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0):
+        raise ValueError(
+            "degree overflow: the product of these level measures exceeds degree 2"
+        )
+    coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
     return LevelMeasure(bounds, coeffs, p1.total * p2.total)
 
 
 def _merged_grid(f1, f2):
     xs = np.unique(np.concatenate((f1.xs, f2.xs)))
-    v1 = f1(xs)
-    v2 = f2(xs)
-    d = v1 - v2
-    crossings = []
-    for i in range(len(xs) - 1):
-        d0, d1 = d[i], d[i + 1]
-        if (d0 > _SNAP and d1 < -_SNAP) or (d0 < -_SNAP and d1 > _SNAP):
-            t = xs[i] + d0 / (d0 - d1) * (xs[i + 1] - xs[i])
-            crossings.append(t)
-    if crossings:
-        xs = np.unique(np.concatenate((xs, np.asarray(crossings))))
+    d = f1(xs) - f2(xs)
+    d0, d1 = d[:-1], d[1:]
+    cross = ((d0 > _SNAP) & (d1 < -_SNAP)) | ((d0 < -_SNAP) & (d1 > _SNAP))
+    if cross.any():
+        a, b = xs[:-1][cross], xs[1:][cross]
+        d0, d1 = d0[cross], d1[cross]
+        xs = np.unique(np.concatenate((xs, a + d0 / (d0 - d1) * (b - a))))
     return xs
 
 
 def meet_pw(f1, f2):
     """Pointwise min of two piecewise-linear assignments, exact."""
     xs = _merged_grid(f1, f2)
-    vs = np.minimum(f1(xs), f2(xs))
-    return PiecewisePossibility(zip(xs.tolist(), vs.tolist()))
+    return PiecewisePossibility(np.column_stack((xs, np.minimum(f1(xs), f2(xs)))))
 
 
 def join_pw(f1, f2):
     """Pointwise max of two piecewise-linear assignments, exact."""
     xs = _merged_grid(f1, f2)
-    vs = np.maximum(f1(xs), f2(xs))
-    return PiecewisePossibility(zip(xs.tolist(), vs.tolist()))
+    return PiecewisePossibility(np.column_stack((xs, np.maximum(f1(xs), f2(xs)))))
 
 
 def _info_or_inf(f):
@@ -535,6 +580,11 @@ def g_cont(lower, upper):
     lower argument is subnormal (its integral diverges) and the upper one
     is not.
     """
+    return _g_cont(lower, upper)
+
+
+def _g_cont(lower, upper, upper_info=None):
+    """``g_cont``, reusing ``upper_info`` as info(upper) when it is given."""
     xs = np.unique(np.concatenate((lower.xs, upper.xs)))
     lv = lower(xs)
     uv = upper(xs)
@@ -545,7 +595,8 @@ def g_cont(lower, upper):
             f"pointwise order violated at x={float(xs[i]):g}: "
             f"{float(lv[i]):g} > {float(uv[i]):g}"
         )
-    upper_info = _info_or_inf(upper)
+    if upper_info is None:
+        upper_info = _info_or_inf(upper)
     if math.isinf(upper_info):
         if np.allclose(lv, uv, rtol=0.0, atol=_SNAP):
             return 0.0
@@ -558,7 +609,8 @@ def g_cont(lower, upper):
 def big_g_cont(f1, f2):
     """Continuous join distance; finite for normalized arguments."""
     top = join_pw(f1, f2)
-    return g_cont(f1, top) + g_cont(f2, top)
+    top_info = _info_or_inf(top)
+    return _g_cont(f1, top, top_info) + _g_cont(f2, top, top_info)
 
 
 def big_h_cont(f1, f2):
@@ -573,4 +625,5 @@ def big_h_cont(f1, f2):
 def big_k_cont(f1, f2):
     """Continuous max-form distance; finite for normalized arguments."""
     top = join_pw(f1, f2)
-    return max(g_cont(f1, top), g_cont(f2, top))
+    top_info = _info_or_inf(top)
+    return max(_g_cont(f1, top, top_info), _g_cont(f2, top, top_info))

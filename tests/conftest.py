@@ -1,9 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately use different algorithms than the library:
-U-uncertainty via the layer-cake integral of ln(level counts), and level
-set measures via direct per-segment interval arithmetic.  They exist so
-the main code paths can be checked against independently computed values.
+U-uncertainty via the layer-cake integral of ln(level counts), level set
+measures via direct per-segment interval arithmetic, and the level
+measure and rearrangement by scalar per-piece loops where the library
+uses array passes.  They exist so the main code paths can be checked
+against independently computed values.
 """
 
 import itertools
@@ -13,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from possinfo import DiscreteDistribution, PiecewisePossibility
+from possinfo import DiscreteDistribution, LevelMeasure, PiecewisePossibility
+from possinfo.discrete import NORMALIZATION_TOL
 from possinfo.simplex import solve_lp
 
 
@@ -43,6 +46,146 @@ def segment_level_set_measure(f, alpha):
         elif alpha <= hi:
             total += w * (hi - alpha) / (hi - lo)
     return total
+
+
+def level_measure_by_active_set(f):
+    """Level measure by an event-driven sweep over the pieces, one at a time.
+
+    A scalar reference for the array passes of ``possinfo.level_measure``:
+    the segments spanning each piece are kept in an active set that gains
+    a segment at its low value and loses it at its high value, and each
+    piece's slope and top value are summed over that set in Python.
+    """
+    xs, vs = f.xs, f.vs
+    x0, x1 = xs[:-1], xs[1:]
+    v0, v1 = vs[:-1], vs[1:]
+    w = x1 - x0
+    const = v0 == v1
+    lo = np.minimum(v0, v1)
+    hi = np.maximum(v0, v1)
+
+    b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
+    K = len(b) - 1
+
+    nz = np.nonzero(~const)[0]
+    rate = np.zeros(len(w))
+    rate[nz] = w[nz] / (hi[nz] - lo[nz])
+
+    lo_sorted = np.sort(lo[nz])
+    w_suffix = np.concatenate((np.cumsum(w[nz][np.argsort(lo[nz], kind="stable")][::-1])[::-1], [0.0]))
+    cidx = np.nonzero(const)[0]
+    cv_sorted = np.sort(v0[cidx])
+    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(v0[cidx], kind="stable")][::-1])[::-1], [0.0]))
+
+    def mass_at_or_above(y):
+        i = np.searchsorted(lo_sorted, y, side="left")
+        j = np.searchsorted(cv_sorted, y, side="left")
+        return float(w_suffix[i]) + float(cw_suffix[j])
+
+    starts = {}
+    ends = {}
+    for i in nz:
+        starts.setdefault(float(lo[i]), []).append(int(i))
+        ends.setdefault(float(hi[i]), []).append(int(i))
+
+    coeffs = []
+    active = set()
+    for k in range(K):
+        active.update(starts.get(float(b[k]), ()))
+        y_top = float(b[k + 1])
+        m = -sum(float(rate[i]) for i in active)
+        top = mass_at_or_above(y_top) + sum(
+            float(rate[i]) * (float(hi[i]) - y_top) for i in active
+        )
+        coeffs.append((top - m * y_top, m, 0.0))
+        active.difference_update(ends.get(y_top, ()))
+    total = mass_at_or_above(0.0)
+    return LevelMeasure(b.tolist(), coeffs, total)
+
+
+def _invert_monotone_piece(coeffs, ya, yb, x):
+    """Solve P(y) = x on [ya, yb] for a nonincreasing polynomial piece."""
+    c0, c1, c2 = coeffs
+    lo, hi = ya, yb
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if c0 + mid * (c1 + mid * c2) > x:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
+    """Sampled inverse graph of a quadratic piece, from (pb, yb) to (pa, ya)."""
+    out = [(pb, yb)]
+
+    def refine(x0, y0, x1, y1, depth):
+        if x1 - x0 <= 8e-15 or depth >= 64:
+            out.append((x1, y1))
+            return
+        xm = 0.5 * (x0 + x1)
+        ym = _invert_monotone_piece(coeffs, ya, yb, xm)
+        if abs(ym - 0.5 * (y0 + y1)) <= 0.5 * tol:
+            out.append((x1, y1))
+            return
+        refine(x0, y0, xm, ym, depth + 1)
+        refine(xm, ym, x1, y1, depth + 1)
+
+    refine(pb, yb, pa, ya, 0)
+    return out
+
+
+def rearrange_by_refinement(level, tol=1e-9):
+    """Descending rearrangement by a per-piece loop and depth-first refinement.
+
+    A scalar reference for ``possinfo.rearrange``, which must return
+    exactly the same breakpoints: every quadratic piece is refined
+    recursively, each inserted point inverted by its own 80-step
+    bisection, and the snap, monotone and duplicate passes run point by
+    point.
+    """
+    if abs(level.total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
+    b = level.bounds
+    K = len(level.coeffs)
+    raw = []
+    top_val = level.piece_value(K - 1, b[K])
+    if top_val > 1e-12:
+        raw.append((0.0, 1.0))
+    for k in range(K - 1, -1, -1):
+        ya, yb = b[k], b[k + 1]
+        pa = level.piece_value(k, ya)
+        pb = level.piece_value(k, yb)
+        if pa > pb and level.coeffs[k][2] != 0.0:
+            raw.extend(_quad_inverse_points(level.coeffs[k], ya, yb, pa, pb, tol))
+        else:
+            raw.append((pb, yb))
+            raw.append((pa, ya))
+    raw.append((level.total, 0.0))
+
+    pts = []
+    prev_x = 0.0
+    for x, y in raw:
+        if x < 1e-15:
+            x = 0.0
+        elif x >= 1.0 or abs(x - level.total) < 1e-12:
+            x = 1.0
+        x = max(x, prev_x)
+        prev_x = x
+        pts.append((x, y))
+
+    cleaned = []
+    for x, y in pts:
+        if cleaned and cleaned[-1][0] == x:
+            if x == 1.0:
+                continue
+            cleaned[-1] = (x, y)
+        else:
+            cleaned.append((x, y))
+    if cleaned[-1][0] != 1.0:
+        cleaned.append((1.0, cleaned[-1][1]))
+    return PiecewisePossibility(cleaned)
 
 
 def _unit(n, i, value=1.0):

@@ -24,7 +24,13 @@ from possinfo import (
     sample_function,
 )
 
-from conftest import random_piecewise, segment_level_set_measure
+import possinfo.continuous
+from conftest import (
+    level_measure_by_active_set,
+    random_piecewise,
+    rearrange_by_refinement,
+    segment_level_set_measure,
+)
 
 TENT = PiecewisePossibility([(0, 0), (0.5, 1), (1, 0)])
 RAMP_DOWN = PiecewisePossibility([(0, 1), (1, 0)])
@@ -33,6 +39,23 @@ UNIFORM = PiecewisePossibility([(0, 1), (1, 1)])
 
 def harmonic(n):
     return sum(1.0 / k for k in range(1, n + 1))
+
+
+def assert_matches_active_set(f, tol=1e-12):
+    """level_measure(f) agrees with the scalar sweep within tol per coefficient row."""
+    P, Q = level_measure(f), level_measure_by_active_set(f)
+    assert P.bounds == Q.bounds and P.total == Q.total
+    for p, q in zip(P.coeffs, Q.coeffs):
+        scale = max(1.0, *map(abs, q))
+        assert max(abs(a - b) for a, b in zip(p, q)) <= tol * scale
+    return P
+
+
+def curve_levels(n_breakpoints):
+    """Level measures of x^1..x^8 and of 2-4-period cosines."""
+    curves = [lambda x, k=k: x**k for k in range(1, 9)]
+    curves += [lambda x, p=p: 0.5 + 0.5 * np.cos(2 * np.pi * p * x) for p in (2, 3, 4)]
+    return [level_measure(sample_function(curve, n_breakpoints)) for curve in curves]
 
 
 class TestConstruction:
@@ -56,6 +79,32 @@ class TestConstruction:
     def test_value_out_of_range(self):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             PiecewisePossibility([(0, 0), (1, 1.4)])
+
+    def test_first_offending_breakpoint_reported(self):
+        with pytest.raises(ValueError, match=r"breakpoint 1 outside \[0, 1\]: 1\.2$"):
+            PiecewisePossibility([(0, 0.5), (0.5, 1.2), (0.75, -1.0), (1, 0)])
+
+    def test_array_input_matches_pairs(self):
+        pts = [(0.0, 0.25), (0.5, 1.0), (1.0, 0.0)]
+        f = PiecewisePossibility(np.array(pts))
+        assert f == PiecewisePossibility(iter(pts)) and f.points == tuple(pts)
+
+    def test_arrays_are_read_only(self):
+        with pytest.raises(ValueError):
+            TENT.vs[0] = 0.5
+
+    def test_level_measure_validation(self):
+        with pytest.raises(ValueError, match="one more bound"):
+            LevelMeasure((0.0, 0.5, 1.0), ((1.0, -1.0),), total=1.0)
+        with pytest.raises(ValueError, match="cover exactly"):
+            LevelMeasure((0.0, 0.9), ((1.0, -1.0),), total=1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LevelMeasure((0.0, 0.5, 0.5, 1.0), ((1.0, -1.0),) * 3, total=1.0)
+
+    def test_level_measure_pads_linear_rows(self):
+        P = LevelMeasure([0.0, 0.5, 1.0], [(1.0, -1.0), (1.0, -1.0, 0.0)], total=1.0)
+        assert P.coeffs == ((1.0, -1.0, 0.0), (1.0, -1.0, 0.0))
+        assert P == LevelMeasure((0.0, 0.5, 1.0), np.array(P.coeffs), 1.0)
 
 
 class TestSampleFunction:
@@ -107,6 +156,14 @@ class TestLevelMeasure:
         assert P(1.0) == pytest.approx(0.4, abs=1e-12)  # plateau mass at the top
         assert P(0.5) == pytest.approx(0.4 + 0.6 * 0.5, abs=1e-12)
 
+    def test_matches_active_set_oracle(self, rng):
+        for _ in range(100):
+            assert_matches_active_set(random_piecewise(rng, max_interior=12, min_gap=0.0))
+        for p in (1, 5, 20):
+            assert_matches_active_set(
+                sample_function(lambda x, p=p: 0.5 + 0.5 * np.cos(2 * np.pi * p * x), 1000)
+            )
+
     def test_matches_segment_oracle_on_random_functions(self, rng):
         for _ in range(100):
             f = random_piecewise(rng, normalized=bool(rng.integers(2)))
@@ -129,6 +186,14 @@ class TestRearrange:
 
     def test_constant_stays_constant(self):
         assert rearrange(level_measure(UNIFORM)) == UNIFORM
+
+    def test_identical_to_refinement_oracle(self, rng):
+        levels = [level_measure(random_piecewise(rng)) for _ in range(100)]
+        levels += [product_level(L, L) for L in curve_levels(1000)]
+        levels.append(level_measure(TENT))
+        levels.append(level_measure(sample_function(lambda x: 4 * (x - 0.5) ** 2, 1001)))
+        for level in levels:
+            assert rearrange(level) == rearrange_by_refinement(level)
 
     def test_requires_unit_total(self):
         P = LevelMeasure((0.0, 1.0), ((0.5, -0.5, 0.0),), total=0.5)
@@ -222,6 +287,72 @@ class TestInfo:
             assert info(higher) <= info(f) + 1e-12
 
 
+def _up(v):
+    return float(np.nextafter(v, 2.0))
+
+
+def _down(v):
+    return float(np.nextafter(v, -1.0))
+
+
+ADVERSARIAL = {
+    # rates dx/dv from 2e-7 to 5e5: slopes over 12 orders of magnitude
+    "slopes_12_orders": [(0, 0), (1e-7, 0.5), (0.5, 0.500001), (0.5 + 1e-7, 1.0), (1, 0.999999)],
+    "one_ulp_wide_segments": [
+        (0, 0.2), (0.5, 1.0), (_up(0.5), 0.3), (0.75, 0.6), (_up(0.75), 0.0), (1, 0.4)
+    ],
+    "plateaus_at_0_1_and_inside": [
+        (0, 0), (0.1, 0), (0.3, 0.6), (0.5, 0.6), (0.6, 1.0), (0.8, 1.0), (0.9, 0), (1, 0)
+    ],
+    "subnormal": [(0, 0.1), (0.4, 0.6), (0.7, 0.6), (1, 0)],
+    "ieee_subnormal_values": [(0, 5e-324), (0.3, 1.0), (0.6, 2.2250738585072014e-308), (1, 1e-310)],
+}
+# neighbouring breakpoint values one ulp apart
+NEAR_TIED = list(zip(np.linspace(0, 1, 6).tolist(), [0.5, _up(0.5), 1.0, _down(1.0), 0.25, _down(0.25)]))
+
+
+def assert_matches_segment_measure(f, tol):
+    P = level_measure(f)
+    levels = sorted(set(f.vs.tolist()) | {0.0, 1.0})
+    levels += [0.5 * (a + b) for a, b in zip(levels, levels[1:])]
+    for alpha in levels:
+        assert P(alpha) == pytest.approx(segment_level_set_measure(f, alpha), abs=tol)
+
+
+class TestAdversarialInputs:
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_level_measure_matches_segment_oracle(self, name):
+        assert_matches_segment_measure(PiecewisePossibility(ADVERSARIAL[name]), 1e-9)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL) + ["near_tied_values"])
+    def test_stages_match_scalar_oracles(self, name):
+        f = PiecewisePossibility(ADVERSARIAL.get(name, NEAR_TIED))
+        P = assert_matches_active_set(f)
+        assert rearrange(P) == rearrange_by_refinement(P)
+
+    @pytest.mark.parametrize("name", sorted(set(ADVERSARIAL) - {"subnormal"}))
+    def test_dual_paths_agree(self, name):
+        f = PiecewisePossibility(ADVERSARIAL[name])
+        assert info(f) == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
+
+    def test_subnormal_diverges(self):
+        f = PiecewisePossibility(ADVERSARIAL["subnormal"])
+        with pytest.raises(DivergenceError):
+            info(f)
+        with pytest.raises(DivergenceError):
+            info_from_level(level_measure(f))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a piece one ulp wide carries a slope near 1e15, and its monomial "
+        "coefficients lose about 0.1 to cancellation when evaluated",
+    )
+    def test_near_tied_values_match_segment_oracle(self):
+        f = PiecewisePossibility(NEAR_TIED)
+        assert_matches_segment_measure(f, 1e-9)
+        assert info(f) == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
+
+
 class TestInfoFromLevel:
     def test_linear_level(self):
         assert info_from_level(level_measure(RAMP_DOWN)) == pytest.approx(1.0, abs=1e-12)
@@ -283,6 +414,24 @@ class TestProductLevel:
             rhs = info_from_level(P1) + info_from_level(P2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
+    def test_matches_piecewise_polymul(self, rng):
+        pairs = [(L, L) for L in curve_levels(200)]
+        for _ in range(50):
+            P1 = level_measure(random_piecewise(rng))
+            pairs += [(P1, P1), (P1, level_measure(random_piecewise(rng)))]
+        for P1, P2 in pairs:
+            Q = product_level(P1, P2)
+            assert Q.bounds == tuple(sorted(set(P1.bounds) | set(P2.bounds)))
+            for (a, b), c in zip(zip(Q.bounds, Q.bounds[1:]), Q.coeffs):
+                k1 = min(int(np.searchsorted(P1.bounds, b)) - 1, len(P1.coeffs) - 1)
+                k2 = min(int(np.searchsorted(P2.bounds, b)) - 1, len(P2.coeffs) - 1)
+                product = np.polynomial.polynomial.polymul(P1.coeffs[k1], P2.coeffs[k2])
+                expected = np.zeros(5)
+                expected[: len(product)] = product
+                assert not expected[3:].any()
+                ulp = np.spacing(np.maximum(np.abs(c), np.abs(expected[:3])))
+                assert np.all(np.abs(np.subtract(c, expected[:3])) <= 4 * ulp)
+
     def test_degree_overflow(self):
         P = level_measure(RAMP_DOWN)
         PP = product_level(P, P)
@@ -304,6 +453,20 @@ class TestMeetJoin:
         for _ in range(50):
             f1, f2 = random_piecewise(rng), random_piecewise(rng)
             assert join_pw(f1, f2).is_normalized
+
+    def test_grid_adds_each_sign_change_crossing(self, rng):
+        for _ in range(50):
+            f1, f2 = random_piecewise(rng), random_piecewise(rng)
+            xs = np.unique(np.concatenate((f1.xs, f2.xs)))
+            d = f1(xs) - f2(xs)
+            crossings = [
+                xs[i] + d[i] / (d[i] - d[i + 1]) * (xs[i + 1] - xs[i])
+                for i in range(len(xs) - 1)
+                if (d[i] > 1e-12 and d[i + 1] < -1e-12) or (d[i] < -1e-12 and d[i + 1] > 1e-12)
+            ]
+            expected = np.unique(np.concatenate((xs, crossings)))
+            assert np.array_equal(meet_pw(f1, f2).xs, expected)
+            assert np.array_equal(join_pw(f1, f2).xs, expected)
 
     def test_pointwise_against_dense_grid(self, rng):
         xs = np.linspace(0, 1, 2001)
@@ -342,6 +505,21 @@ class TestContinuousDistances:
         d1 = discretize(RAMP_DOWN, 10_000)
         d2 = discretize(self.up, 10_000)
         assert big_g(d1, d2) == pytest.approx(big_g_cont(RAMP_DOWN, self.up), abs=0.01)
+
+    def test_join_information_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_info(f):
+            calls.append(f)
+            return info(f)
+
+        monkeypatch.setattr(possinfo.continuous, "info", counting_info)
+        f1 = sample_function(lambda x: x**2, 1000)
+        f2 = sample_function(lambda x: 1 - x**3, 1000)
+        for distance in (big_g_cont, big_k_cont):
+            calls.clear()
+            distance(f1, f2)
+            assert len(calls) == 3  # the join, then each argument
 
     def test_k_symmetric(self, rng):
         for _ in range(40):
