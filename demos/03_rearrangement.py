@@ -13,7 +13,7 @@ from possinfo import PiecewisePossibility, level_measure, rearrange, sample_func
 
 tent = PiecewisePossibility([(0, 0), (0.5, 1), (1, 0)])
 P = level_measure(tent)
-print("tent level measure: single piece", P.coeffs[0], "i.e. P(y) = 1 - y")
+print("tent level measure: single piece", P.coeffs[0], "i.e. P(y) = -(y - 1) = 1 - y")
 print("rearranged tent breakpoints:", rearrange(P).points, "(the ramp 1 - x)")
 print()
 

@@ -143,6 +143,11 @@ def sample_function(evaluator, n_breakpoints):
     return PiecewisePossibility(np.column_stack((xs, vs)))
 
 
+def _eval(c, t):
+    """Anchored pieces c at offsets t = y - (top bound) <= 0, elementwise."""
+    return c[..., 0] + t * (c[..., 1] + t * c[..., 2])
+
+
 class LevelMeasure:
     """The survival-style level function P(y) = measure{x : f(x) >= y}.
 
@@ -150,8 +155,14 @@ class LevelMeasure:
     degree <= 2, monotone nonincreasing.  P is left-continuous: the piece
     over (b_k, b_{k+1}] owns its upper endpoint, and downward jumps at
     piece boundaries encode plateaus of the underlying function.  ``total``
-    is P(0), the measure of the whole domain.  Coefficient rows are
-    (c0, c1) or (c0, c1, c2), or a K-by-3 array; ``bounds`` and
+    is P(0), the measure of the whole domain.
+
+    Each piece is anchored at its top level: the row (d0, d1, d2) means
+    P(y) = d0 + t * (d1 + t * d2) with t = y - b_{k+1} <= 0, so d0 is the
+    value at b_{k+1} and d1 the slope there.  For nonincreasing pieces
+    d1 <= 0, and for the pieces built here d2 >= 0, so every term is
+    nonnegative and evaluation never cancels, however steep the piece.
+    Rows are (d0, d1) or (d0, d1, d2), or a K-by-3 array; ``bounds`` and
     ``coeffs`` are tuples built on first use.
     """
 
@@ -206,17 +217,10 @@ class LevelMeasure:
 
     @property
     def degree(self):
-        deg = 0
-        for c0, c1, c2 in self.coeffs:
-            if c2 != 0.0:
-                deg = max(deg, 2)
-            elif c1 != 0.0:
-                deg = max(deg, 1)
-        return deg
+        return 2 if self._c[:, 2].any() else int(self._c[:, 1].any())
 
     def piece_value(self, k, y):
-        c0, c1, c2 = self.coeffs[k]
-        return c0 + y * (c1 + y * c2)
+        return float(_eval(self._c[k], y - self._b[k + 1]))
 
     def __call__(self, y):
         y = float(y)
@@ -282,32 +286,20 @@ def level_measure(f):
     m = 0.0 - np.bincount(piece, weights=r, minlength=K)
     spanned = np.bincount(piece, weights=r * (hi[nz][seg] - y_top[piece]), minlength=K)
     top = mass_at_or_above(y_top) + spanned
-    coeffs = np.column_stack((top - m * y_top, m, np.zeros(K)))
-    return LevelMeasure(b, coeffs, float(mass_at_or_above(0.0)))
+    return LevelMeasure(b, np.column_stack((top, m, np.zeros(K))), float(mass_at_or_above(0.0)))
 
 
-def _invert_monotone(c, lo, hi, x):
-    """Solve P(y) = x on [lo, hi] for nonincreasing polynomial pieces, elementwise.
+def _invert(c, ya, yb, x):
+    """Solve P(y) = x on nonincreasing quadratic pieces, elementwise.
 
-    Each element takes the steps of an 80-step bisection.  The loop ends
-    early once no bracket moves, because that state is a fixed point.
+    With e = x - d0 >= 0 the offset t solves d2 t^2 + d1 t - e = 0; the
+    root on the piece is taken in the form that adds -d1 >= 0 to the
+    square root, so it never cancels.
     """
-    c0, c1, c2 = (np.ascontiguousarray(a) for a in c.T)
-    lo, hi = lo.copy(), hi.copy()
-    mid, p = np.empty_like(lo), np.empty_like(lo)
-    for _ in range(80):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.multiply(mid, c2, out=p)  # p = c0 + mid * (c1 + mid * c2)
-        p += c1
-        p *= mid
-        p += c0
-        above = p > x
-        if not np.where(above, mid != lo, mid != hi).any():
-            break
-        np.copyto(lo, mid, where=above)
-        np.copyto(hi, mid, where=~above)
-    return 0.5 * (lo + hi)
+    e = x - c[:, 0]
+    d1, d2 = c[:, 1], c[:, 2]
+    t = -2.0 * e / (-d1 + np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * e, 0.0)))
+    return np.clip(yb + t, ya, yb)
 
 
 def _quad_inverse_points(c, ya, yb, pa, pb, tol):
@@ -330,7 +322,7 @@ def _quad_inverse_points(c, ya, yb, pa, pb, tol):
         # domain-end snapping in rearrange()
         s = np.flatnonzero(~(x1 - x0 <= 8e-15))
         xm = 0.5 * (x0[s] + x1[s])
-        ym = _invert_monotone(c[j[s]], ya[j[s]], yb[j[s]], xm)
+        ym = _invert(c[j[s]], ya[j[s]], yb[j[s]], xm)
         far = ~(np.abs(ym - 0.5 * (y0[s] + y1[s])) <= 0.5 * tol)
         done = np.ones(len(j), dtype=bool)
         done[s[far]] = False
@@ -353,8 +345,9 @@ def rearrange(level, tol=1e-9):
 
     Returns the nonincreasing function f~ on [0, 1] with
     measure{f~ >= a} = P(a) for every level a.  Linear pieces invert
-    exactly; quadratic pieces are inverted by bisection at adaptively
-    inserted breakpoints until the interpolant is within ``tol`` sup-norm.
+    exactly; quadratic pieces are inverted by the closed-form root of the
+    anchored quadratic at adaptively inserted breakpoints until the
+    interpolant is within ``tol`` sup-norm.
     The insertion is breadth-first over all quadratic pieces at once and
     yields the same points as refining each piece depth-first.  Plateaus
     of P (possible only at its extreme values for measures built here)
@@ -366,8 +359,7 @@ def rearrange(level, tol=1e-9):
     b, c = level._b, level._c
     K = len(c)
     ya, yb = b[:-1], b[1:]
-    pa = c[:, 0] + ya * (c[:, 1] + ya * c[:, 2])
-    pb = c[:, 0] + yb * (c[:, 1] + yb * c[:, 2])
+    pa, pb = _eval(c, ya - yb), c[:, 0]
     quad = (pa > pb) & (c[:, 2] != 0.0)
     lin = np.flatnonzero(~quad)
     q = np.flatnonzero(quad)
@@ -442,24 +434,44 @@ def info(f):
     return _info_of_descending(rearrange(level_measure(f)))
 
 
-def _quad_segment_integral(coeffs, ya, yb):
-    """Integral of (1-y) * (-P'(y)) / P(y) over a quadratic piece."""
-    from scipy.integrate import quad
+def _piece_integrals(c, w, h):
+    """Integral of (1 - y) * (-P'(y)) / P(y) over each piece, in closed form.
 
-    c0, c1, c2 = coeffs
-    if yb == 1.0 and abs(c0 + c1 + c2) <= 1e-13 * max(1.0, abs(c0), abs(c1), abs(c2)):
-        # P factors as (1-y) * (c0 - c2*y); cancel the root to keep the
-        # integrand numerically stable as y -> 1.
-        def integrand(y):
-            return -(c1 + 2.0 * c2 * y) / (c0 - c2 * y)
+    In the offset t over [-w, 0], P = d2 (t - r1) (t - r2) and the
+    integrand is the sum over the roots r of 1 - (h - r) / (t - r), with
+    h = 1 - b_{k+1}.  A real root adds w + (h - r) * log1p(w / r); a root
+    at t = 0 occurs only at the top level 1, where h = 0 and the factor
+    1 - y cancels it, and adds w.  A conjugate pair a +- ib adds
+    2w + (h - a) ln(P(-w) / P(0)) - 2b * theta, theta being the angle the
+    piece subtends at a + ib; it tends to the double-root value as b -> 0.
+    """
+    d0, d1, d2 = c.T
+    out = np.zeros(len(c))
 
-    else:
+    def root_terms(r, k):
+        x = np.divide(w[k], r, out=np.zeros_like(r), where=r != 0.0)
+        return w[k] + (h[k] - r) * np.log1p(x)
 
-        def integrand(y):
-            return (1.0 - y) * -(c1 + 2.0 * c2 * y) / (c0 + y * (c1 + y * c2))
+    k = np.flatnonzero((d2 == 0.0) & (d1 != 0.0))  # linear: one root, at d0 / -d1
+    out[k] = root_terms(d0[k] / -d1[k], k)
 
-    value, _err = quad(integrand, ya, yb, epsabs=1e-11, epsrel=1e-11, limit=200)
-    return value
+    quad = np.flatnonzero(d2 != 0.0)
+    disc = d1[quad] * d1[quad] - 4.0 * d0[quad] * d2[quad]
+    real = disc >= 0.0
+    # two real roots q / d2 and d0 / q, with q = (sqrt(disc) - d1) / 2 >= 0
+    # free of cancellation; q = 0 only for a double root at t = 0
+    k = quad[real]
+    q = 0.5 * (np.sqrt(disc[real]) - d1[k])
+    r2 = np.divide(d0[k], q, out=np.zeros_like(q), where=q != 0.0)
+    out[k] = root_terms(q / d2[k], k) + root_terms(r2, k)
+
+    k, disc = quad[~real], disc[~real]
+    wk, a = w[k], -d1[k] / (2.0 * d2[k])
+    beta = np.sqrt(-disc) / (2.0 * d2[k])
+    theta = np.arctan2(beta * wk, a * (a + wk) + beta * beta)
+    rise = np.log1p(wk * (wk * d2[k] - d1[k]) / d0[k])  # ln(P(-w) / P(0))
+    out[k] = 2.0 * wk + (h[k] - a) * rise - 2.0 * beta * theta
+    return out
 
 
 def info_from_level(level):
@@ -470,52 +482,41 @@ def info_from_level(level):
         integral_0^1 (1 - y) * (-P'(y)) / P(y) dy
 
     plus a term (1 - y) * ln(P(y-) / P(y+)) for each downward jump of P.
-    Linear pieces integrate in closed form; quadratic pieces by adaptive
-    quadrature.  Agrees with ``info(rearrange(level))`` within 1e-6.
+    Every piece integrates in closed form over the roots of its anchored
+    polynomial (see ``LevelMeasure``), real or complex, in one array pass.
+    Agrees with ``info(rearrange(level))`` within 1e-6.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"information requires total measure 1, got {level.total!r}")
-    total = 0.0
-    prev_val = level.total  # value of P on the lower side of the boundary
-    for k in range(len(level.coeffs)):
-        ya, yb = level.bounds[k], level.bounds[k + 1]
-        c0, c1, c2 = level.coeffs[k]
-        upper_limit = level.piece_value(k, ya)  # limit of P as y -> ya from above
-        if upper_limit <= 0.0 and ya < 1.0:
-            if upper_limit < -1e-9:
-                raise ValueError("level measure goes negative")
-            raise DivergenceError(
-                f"information integral diverges: P vanishes at level {ya!r} < 1"
-            )
-        if prev_val > upper_limit:  # downward jump of P at ya
-            total += (1.0 - ya) * (math.log(prev_val) - math.log(upper_limit))
-        bottom = upper_limit
-        top = level.piece_value(k, yb)
-        if top < -1e-9:
+    b, c = level._b, level._c
+    ya, yb = b[:-1], b[1:]
+    top = c[:, 0]
+    bottom = _eval(c, ya - yb)  # limit of P as y -> ya from above
+    checks = np.array(
+        [bottom < -1e-9, bottom <= 0.0, top < -1e-9, (top <= 0.0) & (yb < 1.0), top < 0.0]
+    )
+    failed = checks.any(axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        check = int(np.argmax(checks[:, k]))
+        if check in (0, 2):
             raise ValueError("level measure goes negative")
-        if top <= 0.0 and yb < 1.0:
-            raise DivergenceError(
-                f"information integral diverges: P vanishes at level {yb!r} < 1"
-            )
-        if c2 == 0.0:
-            if c1 != 0.0:
-                # integral = (1/m) * [(w_top - w_bottom) - (m + c0) * ln(w_top / w_bottom)]
-                # with w = P(y); the log coefficient m + c0 is P extrapolated to y = 1,
-                # which vanishes exactly when the piece runs down to P(1) = 0.
-                m = c1
-                k_extr = m + c0
-                term = (top - bottom) / m
-                if k_extr != 0.0:
-                    if top <= 0.0:
-                        raise DivergenceError(
-                            "information integral diverges on the final piece"
-                        )
-                    term -= k_extr * (math.log(top) - math.log(bottom)) / m
-                total += term
-        else:
-            total += _quad_segment_integral(level.coeffs[k], ya, yb)
-        prev_val = top
-    return total
+        if check == 4:
+            raise DivergenceError("information integral diverges on the final piece")
+        at = float((ya if check == 1 else yb)[k])
+        raise DivergenceError(f"information integral diverges: P vanishes at level {at!r} < 1")
+    prev = np.concatenate(([level.total], top[:-1]))  # P just below each piece
+    jump = prev > bottom
+    jumps = (1.0 - ya[jump]) * (np.log(prev[jump]) - np.log(bottom[jump]))
+    return math.fsum(np.concatenate((jumps, _piece_integrals(c, yb - ya, 1.0 - yb))).tolist())
+
+
+def _recentred(p, upper):
+    """The pieces of p covering each (., upper], anchored at upper instead."""
+    k = np.searchsorted(p._b, upper) - 1
+    c = p._c[k]
+    t = upper - p._b[k + 1]
+    return _eval(c, t), c[:, 1] + 2.0 * t * c[:, 2], c[:, 2]
 
 
 def product_level(p1, p2):
@@ -523,15 +524,13 @@ def product_level(p1, p2):
 
     The super-level set of min(f1(x), f2(y)) on the unit square is the
     Cartesian product of the factors' super-level sets, so the level
-    measures multiply.  Pieces multiply on the common refinement; the
-    result must stay within degree 2.
+    measures multiply.  Pieces multiply on the common refinement, each
+    factor re-anchored at the common top first; the result must stay
+    within degree 2.
     """
     bounds = np.union1d(p1._b, p2._b)
-    upper = bounds[1:]
-    k1 = np.minimum(np.searchsorted(p1._b, upper) - 1, len(p1._c) - 1)
-    k2 = np.minimum(np.searchsorted(p2._b, upper) - 1, len(p2._c) - 1)
-    a0, a1, a2 = p1._c[k1].T
-    b0, b1, b2 = p2._c[k2].T
+    a0, a1, a2 = _recentred(p1, bounds[1:])
+    b0, b1, b2 = _recentred(p2, bounds[1:])
     if np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0):
         raise ValueError(
             "degree overflow: the product of these level measures exceeds degree 2"

@@ -2,10 +2,12 @@
 
 The oracles here deliberately use different algorithms than the library:
 U-uncertainty via the layer-cake integral of ln(level counts), level set
-measures via direct per-segment interval arithmetic, and the level
-measure and rearrangement by scalar per-piece loops where the library
-uses array passes.  They exist so the main code paths can be checked
-against independently computed values.
+measures via direct per-segment interval arithmetic, the information
+value from those per-segment level set measures, the inverse of a
+quadratic level piece by bisection, and the level measure and
+rearrangement by scalar per-piece loops where the library uses array
+passes.  They exist so the main code paths can be checked against
+independently computed values.
 """
 
 import itertools
@@ -31,14 +33,18 @@ def u_by_level_counts(values):
     return total
 
 
-def segment_level_set_measure(f, alpha):
-    """measure{x : f(x) >= alpha} by direct per-segment computation."""
+def segment_level_set_measure(f, alpha, strict=False):
+    """measure{x : f(x) >= alpha} by direct per-segment computation.
+
+    With ``strict``, measure{x : f(x) > alpha}: the limit of the level set
+    measure as the level falls to alpha from above.
+    """
     total = 0.0
     pts = f.points
     for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
         w = x1 - x0
         if v0 == v1:
-            total += w if v0 >= alpha else 0.0
+            total += w if (v0 > alpha if strict else v0 >= alpha) else 0.0
             continue
         lo, hi = min(v0, v1), max(v0, v1)
         if alpha <= lo:
@@ -46,6 +52,35 @@ def segment_level_set_measure(f, alpha):
         elif alpha <= hi:
             total += w * (hi - alpha) / (hi - lo)
     return total
+
+
+def info_by_segment_levels(f):
+    """Information value of a normalized f from per-segment level set measures.
+
+    P is linear between consecutive breakpoint values b_k < b_{k+1}; its
+    value at the top of each piece and its limit at the bottom are
+    computed by ``segment_level_set_measure`` as sums of nonnegative
+    terms, never from a stored slope.  With D = P(b_k+) - P(b_{k+1}) and
+    u = D / P(b_{k+1}), the piece's share of the integral of
+    (1 - y) (-P') / P is w (1 - ln(1 + u) / u) + (1 - b_{k+1}) ln(1 + u),
+    and a jump of P at b_k adds (1 - b_k) ln(P(b_k) / P(b_k+)).
+    """
+    levels = sorted(set(f.vs.tolist()) | {0.0, 1.0})
+    terms = []
+    below = segment_level_set_measure(f, 0.0)
+    for ya, yb in zip(levels, levels[1:]):
+        bottom = segment_level_set_measure(f, ya, strict=True)
+        top = segment_level_set_measure(f, yb)
+        if below > bottom:
+            terms.append((1.0 - ya) * (math.log(below) - math.log(bottom)))
+        w = yb - ya
+        if top == 0.0:  # the last piece, running down to P(1) = 0
+            terms.append(w)
+        elif bottom > top:
+            u = (bottom - top) / top
+            terms.append(w * (1.0 - math.log1p(u) / u) + (1.0 - yb) * math.log1p(u))
+        below = top
+    return math.fsum(terms)
 
 
 def level_measure_by_active_set(f):
@@ -97,23 +132,36 @@ def level_measure_by_active_set(f):
         top = mass_at_or_above(y_top) + sum(
             float(rate[i]) * (float(hi[i]) - y_top) for i in active
         )
-        coeffs.append((top - m * y_top, m, 0.0))
+        coeffs.append((top, m, 0.0))
         active.difference_update(ends.get(y_top, ()))
     total = mass_at_or_above(0.0)
     return LevelMeasure(b.tolist(), coeffs, total)
 
 
-def _invert_monotone_piece(coeffs, ya, yb, x):
-    """Solve P(y) = x on [ya, yb] for a nonincreasing polynomial piece."""
-    c0, c1, c2 = coeffs
-    lo, hi = ya, yb
+def invert_by_bisection(c, ya, yb, x):
+    """Solve P(y) = x on [ya, yb] for nonincreasing anchored pieces, elementwise.
+
+    ``c`` holds one (d0, d1, d2) row per element.  Each element takes the
+    steps of an 80-step bisection; the loop ends early once no bracket
+    moves, because that state is a fixed point.
+    """
+    lo, hi = np.array(ya, dtype=float), np.array(yb, dtype=float)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if c0 + mid * (c1 + mid * c2) > x:
-            lo = mid
-        else:
-            hi = mid
+        t = mid - yb
+        above = c[:, 0] + t * (c[:, 1] + t * c[:, 2]) > x
+        if not np.where(above, mid != lo, mid != hi).any():
+            break
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _invert_quad_piece(coeffs, ya, yb, x):
+    """Solve P(y) = x on [ya, yb] by the closed-form root, in scalar code."""
+    d0, d1, d2 = coeffs
+    e = x - d0
+    t = -2.0 * e / (-d1 + math.sqrt(max(d1 * d1 + 4.0 * d2 * e, 0.0)))
+    return min(max(yb + t, ya), yb)
 
 
 def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
@@ -125,7 +173,7 @@ def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
             out.append((x1, y1))
             return
         xm = 0.5 * (x0 + x1)
-        ym = _invert_monotone_piece(coeffs, ya, yb, xm)
+        ym = _invert_quad_piece(coeffs, ya, yb, xm)
         if abs(ym - 0.5 * (y0 + y1)) <= 0.5 * tol:
             out.append((x1, y1))
             return
@@ -141,9 +189,9 @@ def rearrange_by_refinement(level, tol=1e-9):
 
     A scalar reference for ``possinfo.rearrange``, which must return
     exactly the same breakpoints: every quadratic piece is refined
-    recursively, each inserted point inverted by its own 80-step
-    bisection, and the snap, monotone and duplicate passes run point by
-    point.
+    recursively, each inserted point inverted on its own by the same
+    closed-form root, and the snap, monotone and duplicate passes run
+    point by point.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")

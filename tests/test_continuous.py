@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from possinfo import (
 
 import possinfo.continuous
 from conftest import (
+    info_by_segment_levels,
+    invert_by_bisection,
     level_measure_by_active_set,
     random_piecewise,
     rearrange_by_refinement,
@@ -49,6 +55,10 @@ def assert_matches_active_set(f, tol=1e-12):
         scale = max(1.0, *map(abs, q))
         assert max(abs(a - b) for a, b in zip(p, q)) <= tol * scale
     return P
+
+
+def cosine(periods, n_breakpoints):
+    return sample_function(lambda x: 0.5 + 0.5 * np.cos(2 * np.pi * periods * x), n_breakpoints)
 
 
 def curve_levels(n_breakpoints):
@@ -102,8 +112,8 @@ class TestConstruction:
             LevelMeasure((0.0, 0.5, 0.5, 1.0), ((1.0, -1.0),) * 3, total=1.0)
 
     def test_level_measure_pads_linear_rows(self):
-        P = LevelMeasure([0.0, 0.5, 1.0], [(1.0, -1.0), (1.0, -1.0, 0.0)], total=1.0)
-        assert P.coeffs == ((1.0, -1.0, 0.0), (1.0, -1.0, 0.0))
+        P = LevelMeasure([0.0, 0.5, 1.0], [(0.5, -1.0), (0.0, -1.0, 0.0)], total=1.0)
+        assert P.coeffs == ((0.5, -1.0, 0.0), (0.0, -1.0, 0.0))
         assert P == LevelMeasure((0.0, 0.5, 1.0), np.array(P.coeffs), 1.0)
 
 
@@ -137,7 +147,7 @@ class TestLevelMeasure:
     def test_tent_is_one_minus_y_exactly(self):
         P = level_measure(TENT)
         assert P.bounds == (0.0, 1.0)
-        assert P.coeffs == ((1.0, -1.0, 0.0),)
+        assert P.coeffs == ((0.0, -1.0, 0.0),)
         assert P.total == 1.0
 
     def test_parabola_matches_one_minus_sqrt(self):
@@ -199,6 +209,27 @@ class TestRearrange:
         P = LevelMeasure((0.0, 1.0), ((0.5, -0.5, 0.0),), total=0.5)
         with pytest.raises(ValueError, match="total"):
             rearrange(P)
+
+    def test_closed_form_inverse_no_worse_than_bisection(self):
+        # five points inside every quadratic piece of the product levels
+        # of test_identical_to_refinement_oracle
+        for L in curve_levels(1000):
+            PP = product_level(L, L)
+            b, c = np.array(PP.bounds), np.array(PP.coeffs)
+            ya, yb = b[:-1], b[1:]
+            pa = c[:, 0] + (ya - yb) * (c[:, 1] + (ya - yb) * c[:, 2])
+            q = np.flatnonzero((pa > c[:, 0]) & (c[:, 2] != 0.0))
+            assert q.size
+            k = np.repeat(q, 5)
+            x = c[k, 0] + (pa[k] - c[k, 0]) * np.tile(np.arange(1, 6) / 6, q.size)
+            closed = possinfo.continuous._invert(c[k], ya[k], yb[k], x)
+            bisected = invert_by_bisection(c[k], ya[k], yb[k], x)
+
+            def residual(y):
+                t = y - yb[k]
+                return np.abs(c[k, 0] + t * (c[k, 1] + t * c[k, 2]) - x)
+
+            assert np.all(residual(closed) <= residual(bisected) + 4 * np.spacing(x))
 
     def test_monotone_nonincreasing(self, rng):
         for _ in range(100):
@@ -278,6 +309,14 @@ class TestInfo:
             f = random_piecewise(rng)
             assert info(rearrange(level_measure(f))) == pytest.approx(info(f), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_cosines_match_segment_level_oracle(self, n):
+        for periods in range(1, 21):
+            f = cosine(periods, n)
+            expected = info_by_segment_levels(f)
+            assert info(f) == pytest.approx(expected, abs=1e-9)
+            assert info_from_level(level_measure(f)) == pytest.approx(expected, abs=1e-9)
+
     def test_antitone_in_pointwise_order(self, rng):
         for _ in range(60):
             f = random_piecewise(rng)
@@ -342,11 +381,6 @@ class TestAdversarialInputs:
         with pytest.raises(DivergenceError):
             info_from_level(level_measure(f))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a piece one ulp wide carries a slope near 1e15, and its monomial "
-        "coefficients lose about 0.1 to cancellation when evaluated",
-    )
     def test_near_tied_values_match_segment_oracle(self):
         f = PiecewisePossibility(NEAR_TIED)
         assert_matches_segment_measure(f, 1e-9)
@@ -379,10 +413,47 @@ class TestInfoFromLevel:
         # P drops to zero at y = 0.6: the underlying distribution is
         # subnormal and the integral diverges
         P = LevelMeasure(
-            (0.0, 0.6, 1.0), ((1.0, -1.0 / 0.6, 0.0), (0.0, 0.0, 0.0)), total=1.0
+            (0.0, 0.6, 1.0), ((0.0, -1.0 / 0.6, 0.0), (0.0, 0.0, 0.0)), total=1.0
         )
         with pytest.raises(DivergenceError):
             info_from_level(P)
+
+    @pytest.mark.parametrize(
+        "coeffs, integrand",
+        [
+            # P = 1 - y + 0.3 y^2: complex roots
+            ((0.3, -0.4, 0.3), lambda y: (1 - y) * (1 - 0.6 * y) / (1 - y + 0.3 * y * y)),
+            # P = 1 - 0.5 y - 0.5 y^2 = (1 - y)(1 + 0.5 y): concave
+            ((0.0, -1.5, -0.5), lambda y: (0.5 + y) / (1 + 0.5 * y)),
+        ],
+        ids=["complex_roots", "concave"],
+    )
+    def test_user_built_quadratic(self, coeffs, integrand):
+        P = LevelMeasure((0.0, 1.0), (coeffs,), total=1.0)
+        ys = np.linspace(0.0, 1.0, 10_001)
+        weights = np.ones(10_001)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        simpson = float(weights @ integrand(ys)) / (3 * 10_000)
+        assert info_from_level(P) == pytest.approx(simpson, abs=1e-9)
+        assert info(rearrange(P)) == pytest.approx(simpson, abs=1e-6)
+
+    def test_runs_without_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, possinfo as pi\n"
+            "L = pi.level_measure(pi.sample_function(lambda x: 0.5 + 0.5 * np.cos(6 * np.pi * x), 200))\n"
+            "PP = pi.product_level(L, L)\n"
+            "pi.info_from_level(PP)\n"
+            "pi.rearrange(PP)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestProductLevel:
@@ -414,6 +485,15 @@ class TestProductLevel:
             rhs = info_from_level(P1) + info_from_level(P2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
+    def test_product_additivity_on_probe_curves(self):
+        curves = [sample_function(lambda x, k=k: 1 - x**k, 1000) for k in range(1, 9)]
+        curves += [cosine(periods, 1000) for periods in range(1, 21)]
+        for f in curves:
+            L = level_measure(f)
+            assert info_from_level(product_level(L, L)) == pytest.approx(
+                2 * info_from_level(L), abs=1e-6
+            )
+
     def test_matches_piecewise_polymul(self, rng):
         pairs = [(L, L) for L in curve_levels(200)]
         for _ in range(50):
@@ -422,10 +502,14 @@ class TestProductLevel:
         for P1, P2 in pairs:
             Q = product_level(P1, P2)
             assert Q.bounds == tuple(sorted(set(P1.bounds) | set(P2.bounds)))
-            for (a, b), c in zip(zip(Q.bounds, Q.bounds[1:]), Q.coeffs):
-                k1 = min(int(np.searchsorted(P1.bounds, b)) - 1, len(P1.coeffs) - 1)
-                k2 = min(int(np.searchsorted(P2.bounds, b)) - 1, len(P2.coeffs) - 1)
-                product = np.polynomial.polynomial.polymul(P1.coeffs[k1], P2.coeffs[k2])
+            for b, c in zip(Q.bounds[1:], Q.coeffs):
+                factors = []
+                for P in (P1, P2):  # the factor's piece, re-anchored at b
+                    k = int(np.searchsorted(P.bounds, b)) - 1
+                    d0, d1, d2 = P.coeffs[k]
+                    t = b - P.bounds[k + 1]
+                    factors.append((P.piece_value(k, b), d1 + 2.0 * t * d2, d2))
+                product = np.polynomial.polynomial.polymul(*factors)
                 expected = np.zeros(5)
                 expected[: len(product)] = product
                 assert not expected[3:].any()
