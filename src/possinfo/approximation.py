@@ -28,14 +28,15 @@ class ConvergenceEntry:
     approx_info: float
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ConvergenceSeries:
     """Entries (n, U, ln n - U) for strictly increasing sample counts."""
 
-    __slots__ = ("entries",)
+    entries: tuple
 
-    def __init__(self, entries):
+    def __post_init__(self):
         entries = tuple(
-            e if isinstance(e, ConvergenceEntry) else ConvergenceEntry(*e) for e in entries
+            e if isinstance(e, ConvergenceEntry) else ConvergenceEntry(*e) for e in self.entries
         )
         ns = [e.n for e in entries]
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -45,19 +46,11 @@ class ConvergenceSeries:
                 raise ValueError(f"approx_info must be finite, got {e.approx_info!r}")
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvergenceSeries is immutable")
-
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConvergenceSeries):
-            return NotImplemented
-        return self.entries == other.entries
 
     def __repr__(self):
         return f"ConvergenceSeries({len(self.entries)} entries)"
@@ -85,15 +78,20 @@ def discretize(f, n, grid="left"):
     return DiscreteDistribution(labels, values.tolist())
 
 
-def approx_info(f, n, grid="left"):
-    """Discrete information of the n-point sample: ln n - U(sample)."""
+def _require_normalized(f):
     if not f.is_normalized:
         raise ValueError("approximation requires a normalized distribution")
+
+
+def approx_info(f, n, grid="left"):
+    """Discrete information of the n-point sample: ln n - U(sample)."""
+    _require_normalized(f)
     return math.log(n) - u_uncertainty(discretize(f, n, grid=grid))
 
 
 def convergence_series(f, n_list, grid="left"):
-    """U and ln n - U along increasing sample counts."""
+    """U and ln n - U along increasing sample counts, for a normalized f."""
+    _require_normalized(f)
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")

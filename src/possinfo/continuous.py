@@ -11,7 +11,9 @@ admits closed forms:
 
       info(f) = integral_0^1 (1 - f~(x)) / x dx
 
-  integrates segment by segment in closed form (f~ the rearrangement).
+  (f~ the rearrangement) is integrated on the level side: the change of
+  variables x = P(y) turns it into an integral over levels that is in
+  closed form on every piece of P.
 
 The integral is the information distance from the uniform assignment
 f == 1; it diverges for subnormal inputs (sup f < 1), which is reported
@@ -19,7 +21,6 @@ as an error rather than regularized.  Non-linear curves enter through
 ``sample_function`` with the usual interpolation error bound.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -228,8 +229,8 @@ class LevelMeasure:
             raise ValueError("level must lie in [0, 1]")
         if y == 0.0:
             return self.total
-        k = bisect.bisect_left(self.bounds, y) - 1
-        k = min(max(k, 0), len(self.coeffs) - 1)
+        k = int(np.searchsorted(self._b, y)) - 1
+        k = min(max(k, 0), len(self._c) - 1)
         return self.piece_value(k, y)
 
 
@@ -239,7 +240,8 @@ def level_measure(f):
     Each non-constant segment spanning values [lo, hi] contributes
     (hi - y) * width / (hi - lo) for levels inside its span and its full
     width below; constant segments contribute their width up to their
-    value, creating the downward jump there.
+    value, creating the downward jump there.  A segment whose rate
+    width / (hi - lo) overflows counts as constant at lo.
 
     Every piece's value and slope is summed freshly over the segments
     spanning it, so no cancellation occurs even when segment slopes vary
@@ -251,23 +253,26 @@ def level_measure(f):
     x0, x1 = xs[:-1], xs[1:]
     v0, v1 = vs[:-1], vs[1:]
     w = x1 - x0
-    const = v0 == v1
     lo = np.minimum(v0, v1)
     hi = np.maximum(v0, v1)
 
     b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
     K = len(b) - 1
 
-    nz = np.nonzero(~const)[0]
-    rate = w[nz] / (hi[nz] - lo[nz])
+    # a segment too steep for its rate to be a float counts as constant
+    # at its low value: its mass then enters P as a jump at lo
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = w / (hi - lo)
+    finite = np.isfinite(rate)
+    nz, cidx = np.flatnonzero(finite), np.flatnonzero(~finite)
+    rate = rate[nz]
 
-    # full-width mass above a level: non-constant segments with lo >= y
-    # plus constant segments with value >= y, via sorted suffix sums
+    # full-width mass above a level: the segments with lo >= y, summed by
+    # sorted suffix sums for non-constant and constant segments apart
     lo_sorted = np.sort(lo[nz])
     w_suffix = np.concatenate((np.cumsum(w[nz][np.argsort(lo[nz], kind="stable")][::-1])[::-1], [0.0]))
-    cidx = np.nonzero(const)[0]
-    cv_sorted = np.sort(v0[cidx])
-    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(v0[cidx], kind="stable")][::-1])[::-1], [0.0]))
+    cv_sorted = np.sort(lo[cidx])
+    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(lo[cidx], kind="stable")][::-1])[::-1], [0.0]))
 
     def mass_at_or_above(y):
         i = np.searchsorted(lo_sorted, y, side="left")
@@ -318,8 +323,9 @@ def _quad_inverse_points(c, ya, yb, pa, pb, tol):
     j = np.arange(len(c))
     x0, y0, x1, y1 = pb, yb, pa, ya
     for _ in range(64):
-        # the 8e-15 width floor keeps generated points clear of the
-        # domain-end snapping in rearrange()
+        # the 8e-15 width floor stops intervals too narrow in x to hold a
+        # useful breakpoint, where a steep inverse could otherwise fail
+        # the chord test down to depth 64
         s = np.flatnonzero(~(x1 - x0 <= 8e-15))
         xm = 0.5 * (x0[s] + x1[s])
         ym = _invert(c[j[s]], ya[j[s]], yb[j[s]], xm)
@@ -382,12 +388,13 @@ def rearrange(level, tol=1e-9):
     at = start[q[qj]] + 1 + np.arange(len(qj)) - np.searchsorted(qj, qj)
     x[at], y[at] = qx, qy
 
-    # Snap x values near the domain ends (total is 1 within tolerance),
+    # Pin the first point, P(1) <= _SNAP when there is no head, to 0 and
+    # snap x values near the right end (total is 1 within tolerance),
     # force monotonicity against ulp wobble, then collapse duplicate-x
     # runs: keep the lowest y (the right-continuous inverse) except at the
     # right end, where the left limit keeps f~ representable without a jump.
-    near_end = (x >= 1.0) | (np.abs(x - level.total) < _SNAP)
-    x = np.where(x < 1e-15, 0.0, np.where(near_end, 1.0, x))  # 1e-15: the quad width floor
+    x = np.where((x >= 1.0) | (np.abs(x - level.total) < _SNAP), 1.0, x)
+    x[0] = 0.0
     x = np.maximum.accumulate(x)
     same = x[1:] == x[:-1]
     at_one = x == 1.0
@@ -400,38 +407,23 @@ def rearrange(level, tol=1e-9):
     return PiecewisePossibility(np.column_stack((x, y)))
 
 
-def _info_of_descending(ft):
-    """Closed-form integral of (1 - f~(x))/x over each linear segment."""
-    xs, vs = ft.xs, ft.vs
-    u = 1.0 - vs
-    if u[0] > NORMALIZATION_TOL:
-        raise DivergenceError(
-            "information integral diverges at 0: the distribution is subnormal "
-            f"(sup = {vs[0]!r} < 1)"
-        )
-    a, bx = xs[:-1], xs[1:]
-    ua = np.concatenate(([0.0], u[1:-1]))  # u at the left ends; exactly 0 at x = 0
-    ub = u[1:]
-    s = (ub - ua) / (bx - a)
-    terms = s * bx  # the first segment starts at a = 0
-    terms[1:] = (ua[1:] - s[1:] * a[1:]) * (np.log(bx[1:]) - np.log(a[1:])) + s[1:] * (
-        bx[1:] - a[1:]
-    )
-    return math.fsum(terms.tolist())
-
-
 def info(f):
     """Information value of a normalized continuous assignment.
 
-    Computed by rearranging the level measure and integrating
-    (1 - f~(x))/x segment by segment in closed form.  Subnormal input
-    raises ``DivergenceError``.
+    Computed on the level side: ``info_from_level(level_measure(f))``
+    integrates every level piece in closed form.  A curve normalized only
+    within ``NORMALIZATION_TOL`` is divided by its sup first, since the
+    level-side integral diverges for sup f < 1.  Subnormal input raises
+    ``DivergenceError``.
     """
     if not f.is_normalized:
         raise DivergenceError(
             f"information integral diverges at 0: sup f = {f.max_value!r} < 1"
         )
-    return _info_of_descending(rearrange(level_measure(f)))
+    sup = f.max_value
+    if sup < 1.0:
+        f = PiecewisePossibility(np.column_stack((f.xs, f.vs / sup)))
+    return info_from_level(level_measure(f))
 
 
 def _piece_integrals(c, w, h):
@@ -484,7 +476,7 @@ def info_from_level(level):
     plus a term (1 - y) * ln(P(y-) / P(y+)) for each downward jump of P.
     Every piece integrates in closed form over the roots of its anchored
     polynomial (see ``LevelMeasure``), real or complex, in one array pass.
-    Agrees with ``info(rearrange(level))`` within 1e-6.
+    ``info`` is this integral on ``level_measure(f)``.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"information requires total measure 1, got {level.total!r}")

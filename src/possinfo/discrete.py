@@ -7,6 +7,8 @@ structure: subset possibility, min-product joints, marginals, domain
 extension, permutation, and pointwise meet/join.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 NORMALIZATION_TOL = 1e-9
@@ -18,6 +20,7 @@ def _validate_unit(values, what="value"):
             raise ValueError(f"{what} at index {i} outside [0, 1]: {v!r}")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class DiscreteDistribution:
     """Possibility assignment on a finite, ordered label set.
 
@@ -27,11 +30,13 @@ class DiscreteDistribution:
     this package accepts them.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("labels", "values", "is_normalized")
+    labels: tuple
+    values: tuple
+    is_normalized: bool = field(init=False, compare=False)
 
-    def __init__(self, labels, values):
-        labels = tuple(labels)
-        values = tuple(float(v) for v in values)
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        values = tuple(float(v) for v in self.values)
         if len(labels) != len(values):
             raise ValueError(
                 f"labels and values must have equal length, got {len(labels)} != {len(values)}"
@@ -45,19 +50,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "is_normalized", max(values) >= 1.0 - NORMALIZATION_TOL)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteDistribution is immutable")
-
     def __len__(self):
         return len(self.labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscreteDistribution):
-            return NotImplemented
-        return self.labels == other.labels and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.labels, self.values))
 
     def __repr__(self):
         pairs = ", ".join(f"{l!r}: {v:g}" for l, v in zip(self.labels, self.values))
@@ -73,15 +67,19 @@ class DiscreteDistribution:
         return np.asarray(self.values, dtype=float)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class JointDistribution:
     """Possibility assignment on the product grid of two label sets."""
 
-    __slots__ = ("row_labels", "col_labels", "values", "is_normalized")
+    row_labels: tuple
+    col_labels: tuple
+    values: tuple
+    is_normalized: bool = field(init=False, compare=False)
 
-    def __init__(self, row_labels, col_labels, values):
-        row_labels = tuple(row_labels)
-        col_labels = tuple(col_labels)
-        values = tuple(tuple(float(v) for v in row) for row in values)
+    def __post_init__(self):
+        row_labels = tuple(self.row_labels)
+        col_labels = tuple(self.col_labels)
+        values = tuple(tuple(float(v) for v in row) for row in self.values)
         if len(values) != len(row_labels):
             raise ValueError("row count must match row_labels")
         if any(len(row) != len(col_labels) for row in values):
@@ -96,21 +94,6 @@ class JointDistribution:
         object.__setattr__(self, "col_labels", col_labels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "is_normalized", max(flat) >= 1.0 - NORMALIZATION_TOL)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, JointDistribution):
-            return NotImplemented
-        return (
-            self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.row_labels, self.col_labels, self.values))
 
     def __repr__(self):
         return f"JointDistribution({len(self.row_labels)}x{len(self.col_labels)})"

@@ -16,6 +16,8 @@ assignments; H is additive over min-products whenever both pairwise meets
 stay normalized (see tests for a counterexample without that condition).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .discrete import (
@@ -59,6 +61,7 @@ def u_uncertainty(d):
     return _u_of_values(_values_of(d))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Tau:
     """Monotone piecewise-linear reparameterization of [0, 1] onto itself.
 
@@ -66,7 +69,8 @@ class Tau:
     1 and tau nondecreasing from 0 to 1; evaluation interpolates linearly.
     """
 
-    __slots__ = ("ts", "taus")
+    ts: tuple
+    taus: tuple
 
     def __init__(self, breakpoints):
         pts = [(float(t), float(v)) for t, v in breakpoints]
@@ -84,17 +88,6 @@ class Tau:
             raise ValueError("tau-coordinates must be nondecreasing")
         object.__setattr__(self, "ts", tuple(ts))
         object.__setattr__(self, "taus", tuple(vs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tau is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Tau):
-            return NotImplemented
-        return self.ts == other.ts and self.taus == other.taus
-
-    def __hash__(self):
-        return hash((self.ts, self.taus))
 
     def __repr__(self):
         return f"Tau({len(self.ts)} breakpoints)"

@@ -3,11 +3,12 @@
 The oracles here deliberately use different algorithms than the library:
 U-uncertainty via the layer-cake integral of ln(level counts), level set
 measures via direct per-segment interval arithmetic, the information
-value from those per-segment level set measures, the inverse of a
-quadratic level piece by bisection, and the level measure and
-rearrangement by scalar per-piece loops where the library uses array
-passes.  They exist so the main code paths can be checked against
-independently computed values.
+value from those per-segment level set measures, the information value
+on the x side from a rearranged curve where the library integrates on
+the level side, the inverse of a quadratic level piece by bisection, and
+the level measure and rearrangement by scalar per-piece loops where the
+library uses array passes.  They exist so the main code paths can be
+checked against independently computed values.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from possinfo import DiscreteDistribution, LevelMeasure, PiecewisePossibility
+from possinfo import DiscreteDistribution, DivergenceError, LevelMeasure, PiecewisePossibility
 from possinfo.discrete import NORMALIZATION_TOL
 from possinfo.simplex import solve_lp
 
@@ -214,8 +215,8 @@ def rearrange_by_refinement(level, tol=1e-9):
 
     pts = []
     prev_x = 0.0
-    for x, y in raw:
-        if x < 1e-15:
+    for i, (x, y) in enumerate(raw):
+        if i == 0:
             x = 0.0
         elif x >= 1.0 or abs(x - level.total) < 1e-12:
             x = 1.0
@@ -234,6 +235,24 @@ def rearrange_by_refinement(level, tol=1e-9):
     if cleaned[-1][0] != 1.0:
         cleaned.append((1.0, cleaned[-1][1]))
     return PiecewisePossibility(cleaned)
+
+
+def info_of_descending(ft):
+    """Closed-form integral of (1 - f~(x))/x over each linear segment."""
+    xs, vs = ft.xs, ft.vs
+    u = 1.0 - vs
+    if u[0] > NORMALIZATION_TOL:
+        raise DivergenceError(
+            "information integral diverges at 0: the distribution is subnormal "
+            f"(sup = {vs[0]!r} < 1)"
+        )
+    a, bx = xs[:-1], xs[1:]
+    ua = np.concatenate(([0.0], u[1:-1]))  # u at the left ends; exactly 0 at x = 0
+    ub = u[1:]
+    terms = ub - ua  # the first segment starts at a = 0, where s * b = ub - ua
+    s = terms[1:] / (bx[1:] - a[1:])
+    terms[1:] = (ua[1:] - s * a[1:]) * (np.log(bx[1:]) - np.log(a[1:])) + s * (bx[1:] - a[1:])
+    return math.fsum(terms.tolist())
 
 
 def _unit(n, i, value=1.0):

@@ -102,6 +102,11 @@ class TestConvergenceSeries:
         with pytest.raises(ValueError, match="increasing"):
             convergence_series(RAMP_DOWN, (10, 10))
 
+    def test_subnormal_rejected(self):
+        f = PiecewisePossibility([(0, 0.5), (1, 0.2)])
+        with pytest.raises(ValueError, match="normalized"):
+            convergence_series(f, (10, 100))
+
     def test_requires_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
             convergence_series(RAMP_DOWN, ())

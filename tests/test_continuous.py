@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from possinfo import (
 import possinfo.continuous
 from conftest import (
     info_by_segment_levels,
+    info_of_descending,
     invert_by_bisection,
     level_measure_by_active_set,
     random_piecewise,
@@ -278,6 +280,11 @@ class TestInfo:
         with pytest.raises(DivergenceError, match="diverges"):
             info(PiecewisePossibility([(0, 0.5), (1, 0.2)]))
 
+    def test_normalized_within_tolerance_is_scaled_to_sup_one(self):
+        f = PiecewisePossibility([(0, 1.0 - 1e-10), (1, 0)])
+        assert f.is_normalized
+        assert info(f) == 1.0
+
     def test_top_plateau_closed_form(self):
         # f is 1 on [0.25, 0.75] and ramps to 0 at both ends; the
         # rearrangement is 1 on [0, 0.5] then 2(1 - x), so
@@ -297,8 +304,8 @@ class TestInfo:
 
     def test_interior_plateau_dual_path(self):
         f = PiecewisePossibility([(0, 0.2), (0.3, 1.0), (0.6, 1.0), (0.8, 0.5), (1, 0.5)])
-        assert info_from_level(level_measure(f)) == pytest.approx(info(f), abs=1e-9)
         ft = rearrange(level_measure(f))
+        assert info_from_level(level_measure(f)) == pytest.approx(info_of_descending(ft), abs=1e-9)
         for alpha in np.linspace(0, 1, 101):
             assert segment_level_set_measure(ft, alpha) == pytest.approx(
                 segment_level_set_measure(f, alpha), abs=1e-9
@@ -372,7 +379,8 @@ class TestAdversarialInputs:
     @pytest.mark.parametrize("name", sorted(set(ADVERSARIAL) - {"subnormal"}))
     def test_dual_paths_agree(self, name):
         f = PiecewisePossibility(ADVERSARIAL[name])
-        assert info(f) == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
+        x_side = info_of_descending(rearrange(level_measure(f)))
+        assert x_side == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
 
     def test_subnormal_diverges(self):
         f = PiecewisePossibility(ADVERSARIAL["subnormal"])
@@ -384,7 +392,37 @@ class TestAdversarialInputs:
     def test_near_tied_values_match_segment_oracle(self):
         f = PiecewisePossibility(NEAR_TIED)
         assert_matches_segment_measure(f, 1e-9)
-        assert info(f) == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
+        x_side = info_of_descending(rearrange(level_measure(f)))
+        assert x_side == pytest.approx(info_from_level(level_measure(f)), abs=1e-9)
+
+
+class TestExtremeGaps:
+    def test_tiny_head_keeps_its_mass(self):
+        # f falls from 1 to 0.5 over [0, 1e-300], then to 0 over the rest:
+        # info = 1/2 + integral_{1e-300}^1 (1 + x) / (2x) dx up to O(1e-300)
+        f = PiecewisePossibility([(0, 1), (1e-300, 0.5), (1, 0)])
+        assert info(f) == pytest.approx(1.0 + 150.0 * math.log(10.0), abs=1e-9)
+
+    def test_smallest_subnormal_width_head(self):
+        f = PiecewisePossibility([(0, 1), (5e-324, 0), (1, 0)])
+        x_side = info_of_descending(rearrange(level_measure(f)))
+        assert x_side == pytest.approx(745.44, abs=0.01)
+        assert info(f) == pytest.approx(x_side, abs=1e-9)
+
+    def test_narrow_top_plateau(self):
+        f = PiecewisePossibility([(0, 0), (0.5 - 5e-14, 1), (0.5 + 5e-14, 1), (1, 0)])
+        ft = rearrange(level_measure(f))
+        assert ft.vs[0] == 1.0
+        assert info(f) == pytest.approx(1.0, abs=1e-9)
+
+    def test_smallest_subnormal_value_gap(self):
+        # the rise to 5e-324 over [0, 0.5] is too steep for a float rate and
+        # enters P as a jump at 0; the rearrangement is 1 - 2x on [0, 1/2]
+        f = PiecewisePossibility([(0, 0), (0.5, 5e-324), (1, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = info(f)
+        assert value == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
 
 
 class TestInfoFromLevel:
@@ -402,7 +440,7 @@ class TestInfoFromLevel:
         for _ in range(100):
             f = random_piecewise(rng)
             P = level_measure(f)
-            assert info_from_level(P) == pytest.approx(info(f), abs=1e-6)
+            assert info_from_level(P) == pytest.approx(info_of_descending(rearrange(P)), abs=1e-6)
 
     def test_rejects_bad_total(self):
         P = LevelMeasure((0.0, 1.0), ((0.5, -0.5, 0.0),), total=0.5)

@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from possinfo import (
+    ConvergenceSeries,
     DiscreteDistribution,
     JointDistribution,
+    LevelMeasure,
+    PiecewisePossibility,
+    Tau,
     extend,
     invert_permutation,
     join,
@@ -21,6 +25,37 @@ from possinfo import (
 from conftest import random_distribution
 
 LN2 = math.log(2.0)
+
+
+VALUE_CLASSES = {
+    "DiscreteDistribution": (
+        lambda: DiscreteDistribution(("a", "b"), (1.0, 0.5)),
+        ("labels", "values", "is_normalized"),
+    ),
+    "JointDistribution": (
+        lambda: JointDistribution(("a",), ("b", "c"), ((1.0, 0.5),)),
+        ("row_labels", "col_labels", "values", "is_normalized"),
+    ),
+    "PiecewisePossibility": (
+        lambda: PiecewisePossibility([(0, 1), (1, 0)]),
+        ("points", "xs", "vs", "max_value", "is_normalized"),
+    ),
+    "LevelMeasure": (
+        lambda: LevelMeasure((0.0, 1.0), ((0.0, -1.0),), total=1.0),
+        ("bounds", "coeffs", "total", "degree"),
+    ),
+    "Tau": (lambda: Tau([(0, 0), (1, 1)]), ("ts", "taus")),
+    "ConvergenceSeries": (lambda: ConvergenceSeries([(10, 1.5, 0.8)]), ("entries",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_are_immutable(name):
+    make, attributes = VALUE_CLASSES[name]
+    value = make()
+    for attribute in attributes:
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, None)
 
 
 class TestConstruction:

@@ -224,6 +224,13 @@ class TestCli:
         final = float(lines[-1].split(",")[2])
         assert abs(final - 1.0) < 0.005
 
+    def test_approx_of_subnormal_is_data_error(self, docs, tmp_path, capsys):
+        sub = docs("sub.json", {"kind": "piecewise_linear", "points": [[0, 0.5], [1, 0.2]]})
+        out = tmp_path / "series.csv"
+        assert run_command(["approx", sub, "--n", "10,100", "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:data:")
+        assert not out.exists()
+
     def test_infer_writes_solution(self, docs, tmp_path, capsys):
         prob = docs(
             "prob.json",
