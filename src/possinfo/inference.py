@@ -6,12 +6,12 @@ information metric (G or K).
 
 U is convex on each region where one fixed coordinate is largest, so its
 maximum sits at a vertex of such a region: ``solve_max_u`` enumerates
-those vertices exactly in rationals and keeps the best one.
-``solve_min_distance`` runs multi-start coordinate descent over the
-feasible polytope from the same vertices; the 1-D slices of G and K are
-piecewise linear, so each step minimizes exactly over the candidate kink
-points.  ``brute_force_oracle`` scans a grid and validates both solvers
-in the tests.
+those vertices exactly in rationals and keeps the best one.  G and K are
+piecewise linear on the cells cut out by v_a = v_b and v_a = prior_b, so
+``solve_min_distance`` enumerates the cell vertices in the feasible
+polytope (for K also the edge points where U(v) = U(prior)) and rescores
+the best exactly.  ``brute_force_oracle`` scans a grid and validates both
+solvers in the tests.
 """
 
 import itertools
@@ -24,7 +24,7 @@ import numpy as np
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
 from .measures import _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
-from .simplex import feasible_point, solve_lp
+from .simplex import feasible_point
 
 _RELS = ("<=", ">=", "=")
 _MAX_U_SIZE = 8
@@ -291,240 +291,241 @@ def solve_max_u(problem):
 # minimum-distance posterior
 
 
-def _g_pair(v, p):
-    j = np.maximum(v, p)
-    uj = _u_of_values(j)
-    return uj - _u_of_values(v), uj - _u_of_values(p)
+def _partitions(items):
+    """Every split of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def _distance(v, p, metric):
-    g1, g2 = _g_pair(v, p)
-    return g1 + g2 if metric == "G" else max(g1, g2)
+def _patterns(n, m, line):
+    """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line."""
+    for size in range(line, n + 1):
+        for free in itertools.combinations(range(n), size):
+            for groups in _partitions(list(free)):
+                for chosen in itertools.combinations(range(m), len(groups) - line):
+                    yield groups, chosen
 
 
-def _direction_interval(rows, v, d):
-    """Feasible t-range for the move v + t*d inside the polytope and box."""
-    lo, hi = -math.inf, math.inf
-    for coeffs, rel, bound in rows:
-        a = sum(c * dk for c, dk in zip(coeffs, d))
-        if a == 0.0:
-            continue
-        limit = (bound - sum(c * x for c, x in zip(coeffs, v))) / a
-        if rel == "=":
-            lo = max(lo, limit)
-            hi = min(hi, limit)
-        elif (rel == "<=") == (a > 0.0):
-            hi = min(hi, limit)
-        else:
-            lo = max(lo, limit)
-    for k, dk in enumerate(d):
-        if dk == 0.0:
-            continue
-        t0 = (0.0 - v[k]) / dk
-        t1 = (1.0 - v[k]) / dk
-        lo = max(lo, min(t0, t1))
-        hi = min(hi, max(t0, t1))
-    # the current point is feasible, so t = 0 belongs to the range
-    return min(lo, 0.0), max(hi, 0.0)
+def _group_matrix(rows, groups, chosen):
+    return [[sum(rows[r][0][j] for j in g) for g in groups] for r in chosen]
 
 
-def _point_at(v, d, t):
-    return np.clip(np.asarray(v) + t * np.asarray(d), 0.0, 1.0)
+def _det(rows, groups, chosen):
+    """|det| of a pattern's integer system, 0 when singular."""
+    sol = _solve_integer(_group_matrix(rows, groups, chosen), [0] * len(chosen))
+    return sol[1] if sol else 0
 
 
-def _line_minimize(v, d, rows, prior, metric, best):
-    """Exact minimum of the distance along v + t*d over the feasible range.
-
-    Between consecutive candidate points every value entering the sorted
-    U-sums moves linearly, so the distance is linear (G) or a max of two
-    linear branches (K) there; evaluating the kinks suffices.
-    """
-    n = len(v)
-    lo, hi = _direction_interval(rows, v, d)
-    if hi - lo <= 1e-14:
-        return None
-    moving = [k for k in range(n) if d[k] != 0.0]
-    crit = {0.0, 1.0}
-    crit.update(float(p) for p in prior)
-    for m in range(n):
-        if d[m] == 0.0:
-            crit.add(float(v[m]))
-            crit.add(float(max(v[m], prior[m])))
-    ts = {lo, hi, 0.0}
-    for k in moving:
-        for x in crit:
-            t = (x - v[k]) / d[k]
-            if lo < t < hi:
-                ts.add(t)
-    for a_i, b_i in itertools.combinations(moving, 2):
-        if d[a_i] != d[b_i]:
-            t = (v[b_i] - v[a_i]) / (d[a_i] - d[b_i])
-            if lo < t < hi:
-                ts.add(t)
-    cands = sorted(ts)
-    if metric == "K":
-        extra = []
-        for a, b in zip(cands, cands[1:]):
-            g1a, g2a = _g_pair(_point_at(v, d, a), prior)
-            g1b, g2b = _g_pair(_point_at(v, d, b), prior)
-            da, db = g1a - g2a, g1b - g2b
-            if (da > 0 > db) or (da < 0 < db):
-                extra.append(a + da / (da - db) * (b - a))
-        cands.extend(extra)
-    cur_val, cur_t = best, None
-    for t in cands:
-        val = _distance(_point_at(v, d, t), prior, metric)
-        if val < cur_val - 1e-15:
-            cur_val, cur_t = val, t
-    if cur_t is None:
-        return None
-    return cur_val, cur_t
+def _split(rows, groups, chosen, line):
+    """(pivot, solved groups), or None if dependent; a line's pivot leaves the largest det."""
+    pivot = []
+    if line:
+        i = max(range(len(groups)), key=lambda i: _det(rows, groups[:i] + groups[i + 1:], chosen))
+        pivot, groups = groups[i], groups[:i] + groups[i + 1:]
+    return (pivot, groups) if _det(rows, groups, chosen) else None
 
 
-def _descend(v0, rows, prior, metric, directions):
-    """Greedy line minimization over the given directions until stable."""
-    v = np.clip(np.asarray(v0, dtype=float), 0.0, 1.0).tolist()
-    best = _distance(np.asarray(v), prior, metric)
-    for _pass in range(60):
-        improved = False
-        for d in directions:
-            step = _line_minimize(v, d, rows, prior, metric, best)
-            if step is not None:
-                best, t = step
-                v = _point_at(v, d, t).tolist()
-                improved = True
-        if not improved:
-            break
-    return tuple(v), best
+def _exact_point(rows, n, groups, chosen, fixed):
+    """The exact point whose groups solve the chosen rows, ``fixed`` giving the rest."""
+    rhs = [rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items()) for r in chosen]
+    scale = math.lcm(*(x.denominator for x in rhs))
+    nums, den = _solve_integer(_group_matrix(rows, groups, chosen), [int(x * scale) for x in rhs])
+    point = dict(fixed)
+    for g, x in zip(groups, nums):
+        point.update(dict.fromkeys(g, Fraction(x, den * scale)))
+    return [point[j] for j in range(n)]
 
 
-def _search_directions(n, problem, pin, metric):
-    """Coordinate axes plus in-hyperplane pair moves for equality rows.
-
-    The K objective is a max of two branches whose minimum often sits on a
-    ridge that single-axis moves cannot follow, so it also gets diagonal
-    pair directions.
-    """
-    directions = []
-    for i in range(n):
-        if i == pin:
-            continue
-        e = [0.0] * n
-        e[i] = 1.0
-        directions.append(tuple(e))
-    if metric == "K":
-        for i, j in itertools.combinations(range(n), 2):
-            if pin in (i, j):
-                continue
-            for sj in (1.0, -1.0):
-                d = [0.0] * n
-                d[i] = 1.0
-                d[j] = sj
-                directions.append(tuple(d))
-    eq_rows = [c.coefficients for c in problem.constraints if c.relation == "="]
-    for coeffs in eq_rows:
-        for i, j in itertools.combinations(range(n), 2):
-            if pin in (i, j):
-                continue
-            if coeffs[i] == 0.0 or coeffs[j] == 0.0:
-                continue  # an axis move already stays on this hyperplane
-            d = [0.0] * n
-            d[i] = coeffs[j]
-            d[j] = -coeffs[i]
-            directions.append(tuple(d))
-    return list(dict.fromkeys(directions))  # drop repeats, keep the order
+def _exact_feasible(rows, point):
+    den = math.lcm(*(x.denominator for x in point))
+    return all(0 <= x <= 1 for x in point) and _satisfies(rows, [int(x * den) for x in point], den)
 
 
-def _l1_projection(n, rows, target):
-    """Closest feasible point to ``target`` in the L1 sense, via an LP."""
-    ext_rows = []
-    for coeffs, rel, bound in rows:
-        ext_rows.append((list(coeffs) + [0.0] * n, rel, bound))
-    for j in range(n):
-        row = [0.0] * (2 * n)
-        row[j] = 1.0
-        row[n + j] = -1.0
-        ext_rows.append((row, "<=", target[j]))
-        row = [0.0] * (2 * n)
-        row[j] = -1.0
-        row[n + j] = -1.0
-        ext_rows.append((row, "<=", -target[j]))
-    objective = [Fraction(0)] * n + [Fraction(-1)] * n
-    res = solve_lp(2 * n, objective, ext_rows)
-    if res.status != "optimal":
-        return None
-    return tuple(float(x) for x in res.x[:n])
+def _exact_u(point, weights):
+    return sum(w * x for w, x in zip(weights, sorted(point, reverse=True)))
+
+
+class _MinDistanceSearch:
+    """Candidates of ``solve_min_distance``: a float pass per pattern, exact points on demand."""
+
+    def __init__(self, problem):
+        self.n = len(problem.labels)
+        self.metric = problem.objective.metric
+        self.normalized = problem.require_normalized
+        self.prior = np.asarray(problem.objective.prior.values, dtype=float)
+        self.a = np.array([c.coefficients for c in problem.constraints]).reshape(-1, self.n)
+        self.b = np.array([c.bound for c in problem.constraints])
+        self.rows = _integer_rows(problem)
+        self.consts = np.array(sorted({0.0, 1.0, *self.prior.tolist()}))
+        self.weights = _position_weights(self.n)
+        self.grids = {}
+
+    def grid(self, r):
+        """Every assignment of r coordinates to constants, one of them 1 when normalized."""
+        if r not in self.grids:
+            g = np.empty((len(self.consts) ** r, r))
+            for j, axis in enumerate(np.meshgrid(*([self.consts] * r), indexing="ij")):
+                g[:, j] = axis.ravel()
+            self.grids[r] = g[(g == 1.0).any(axis=1)] if self.normalized else g
+        return self.grids[r]
+
+    def candidates(self, groups, chosen, line):
+        """(constant assignments, float points): a pattern's vertices, or its line's split points.
+
+        An ill-conditioned system is solved exactly instead, for the
+        assignments whose right-hand sides its groups can reach in [0, 1].
+        """
+        split = _split(self.rows, groups, chosen, line)
+        fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
+        values = self.grid(len(fixed))
+        if split is None or not len(values):
+            return None
+        pivot, solved = split
+        k = len(chosen)
+        # the integer rows in float; their exact inverse bounds the float error
+        a = np.array([self.rows[r][0] for r in chosen], dtype=float).reshape(k, self.n)
+        b = np.array([self.rows[r][2] for r in chosen], dtype=float)[:, None]
+        rhs = b - a[:, fixed] @ values.T
+        matrix = _group_matrix(self.rows, solved, chosen)
+        cols = [_solve_integer(matrix, [int(i == j) for i in range(k)]) for j in range(k)]
+        inv = np.array([[x / den for x in nums] for nums, den in cols]).reshape(k, k).T
+        slack = 1e-15 * (np.abs(b) + np.abs(a).sum(axis=1)[:, None])
+        if (np.abs(inv) @ slack > 1e-12).any():
+            sums = np.array([[a[i, g].sum() for g in groups] for i in range(k)])
+            low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack
+            high = np.maximum(sums, 0.0).sum(axis=1)[:, None] + 1e6 * slack
+            found = [(v, p) for v in values[((rhs >= low) & (rhs <= high)).all(axis=0)]
+                     for p in self.exact_points(groups, chosen, line, v)]
+            return (np.array([v for v, _ in found]).reshape(len(found), len(fixed)),
+                    np.array([p for _, p in found], dtype=float).reshape(len(found), self.n))
+        points = np.zeros((len(values), self.n))
+        points[:, fixed] = values
+        for g, t in zip(solved, inv @ rhs):
+            points[:, g] = t[:, None]
+        if not line:
+            return values, points
+        # the pivot runs from 0 in ``points`` along ``step``; U is linear in
+        # between the parameters where a group meets a constant or another group
+        base = dict.fromkeys(fixed, 0)
+        ends = [_exact_point(self.rows, self.n, solved, chosen, {**base, **dict.fromkeys(pivot, t)})
+                for t in (0, 1)]
+        step = np.array([float(y - x) for x, y in zip(*ends)])
+        reps = [g[0] for g in groups]
+        cuts = [(self.consts - points[:, [j]]) / step[j] for j in reps if step[j]]
+        cuts += [(points[:, [h]] - points[:, [j]]) / (step[j] - step[h])
+                 for j, h in itertools.combinations(reps, 2) if step[j] != step[h]]
+        cuts = np.sort(np.hstack(cuts), axis=1)
+        f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - _u_of_values(self.prior)
+        row, i = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
+        lo, hi, flo, fhi = cuts[row, i], cuts[row, i + 1], f[row, i], f[row, i + 1]
+        return values[row], points[row] + (lo + (hi - lo) * flo / (flo - fhi))[:, None] * step
+
+    def feasible(self, points):
+        ok = ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
+        for a, b, (_, rel, _) in zip(self.a, self.b, self.rows):
+            excess = points @ a - b
+            ok &= {"<=": excess, ">=": -excess, "=": np.abs(excess)}[rel] <= _FEAS_TOL
+        return ok
+
+    def score(self, points):
+        uj, uv = _u_of_rows(np.maximum(points, self.prior)), _u_of_rows(points)
+        up = _u_of_values(self.prior)
+        return 2.0 * uj - uv - up if self.metric == "G" else uj - np.minimum(uv, up)
+
+    def exact_points(self, groups, chosen, line, fixed_values):
+        """The exact points of one pattern and constant assignment, unchecked."""
+        pivot, solved = _split(self.rows, groups, chosen, line)
+        fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
+        known = {j: Fraction(x) for j, x in zip(fixed, fixed_values.tolist())}
+        zero, one = (_exact_point(self.rows, self.n, solved, chosen,
+                                  {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
+        if not line:
+            return [zero]
+        # every coordinate is affine in the pivot's value t
+        slope = [y - x for x, y in zip(zero, one)]
+        cuts = {(c - x) / s for x, s in zip(zero, slope) if s
+                for c in map(Fraction, self.consts.tolist())}
+        cuts.update((x2 - x1) / (s1 - s2) for (x1, s1), (x2, s2)
+                    in itertools.combinations(zip(zero, slope), 2) if s1 != s2)
+        cuts = sorted(cuts)
+        up = _exact_u(map(Fraction, self.prior.tolist()), self.weights)
+        f = [_exact_u([x + s * t for x, s in zip(zero, slope)], self.weights) - up for t in cuts]
+        roots = [lo + (hi - lo) * flo / (flo - fhi)
+                 for lo, hi, flo, fhi in zip(cuts, cuts[1:], f, f[1:]) if flo * fhi < 0]
+        return [[x + s * t for x, s in zip(zero, slope)] for t in roots]
+
+    def exact_score(self, point):
+        prior = [Fraction(x) for x in self.prior.tolist()]
+        uj, uv, up = (_exact_u(v, self.weights) for v in (map(max, point, prior), point, prior))
+        return 2 * uj - uv - up if self.metric == "G" else uj - min(uv, up)
 
 
 def solve_min_distance(problem):
-    """Feasible assignment minimizing the G or K distance to the prior.
+    """Feasible assignment minimizing the G or K distance to the prior, exactly.
 
-    Multi-start projected coordinate descent: starts are the L1 projection
-    of the prior, the maximum-U vertex, the prior when feasible, and every
-    enumerated vertex of the region in lexicographically descending order;
-    when normalization is required the coordinate attaining 1 is
-    enumerated.  The grid oracle certifies the result in the tests, not at
-    runtime.
+    G is linear on every cell cut out by the hyperplanes v_a = v_b and
+    v_a = prior_b, so its minimum sits at a vertex of a cell in the
+    feasible polytope.  There each coordinate is 0, 1, a prior value or in
+    a tie group whose values solve as many rows read as equalities (with
+    normalization, some constant is 1).  K is the larger of two linear
+    branches on a cell and adds the points where U(v) = U(prior) on each
+    line with one row fewer; U is linear between the points where a group
+    meets a constant or another group, so that root is exact.  All
+    constant assignments of a pattern are solved and scored in one float
+    pass; the candidates within 1e-9 of the best are then solved, checked
+    and scored exactly with the rational images of the float weights, and
+    the lexicographically largest exact minimizer wins.  The certificate's
+    ``vertices`` counts the float candidates, once per pattern reaching them.
     """
     if not isinstance(problem.objective, MinDistance):
         raise ValueError("solve_min_distance requires a MinDistance objective")
     n = len(problem.labels)
     if n > _MIN_DIST_SIZE:
         raise ValueError(f"minimum-distance search is capped at {_MIN_DIST_SIZE} labels")
-    metric = problem.objective.metric
-    prior = np.asarray(problem.objective.prior.values, dtype=float)
-    base = _base_rows(problem)
-    per_pin = _region_vertices(problem)
-    vertices = set().union(*per_pin)
-    if not vertices:
+    search = _MinDistanceSearch(problem)
+    batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
+    for line in (False, True) if search.metric == "K" else (False,):
+        for groups, chosen in _patterns(n, len(search.rows), line):
+            found = search.candidates(groups, chosen, line)
+            if found is not None:
+                values, points = found
+                ok = search.feasible(points)
+                if ok.any():
+                    batches.append(((groups, chosen, line), values[ok], search.score(points[ok])))
+    scores = np.concatenate([np.empty(0)] + [b[2] for b in batches])
+    owner = np.concatenate([np.empty(0, int)] + [np.full(len(b[2]), i)
+                                                 for i, b in enumerate(batches)])
+    index = np.concatenate([np.empty(0, int)] + [np.arange(len(b[2])) for b in batches])
+
+    best, optima = None, set()
+    for c in np.argsort(scores, kind="stable").tolist():
+        if best is not None and scores[c] > float(best) + 1e-9:
+            break
+        pattern, values, _ = batches[owner[c]]
+        for point in search.exact_points(*pattern, values[index[c]]):
+            if _exact_feasible(search.rows, point):
+                s = search.exact_score(point)
+                if best is None or s < best:
+                    best, optima = s, set()
+                if s == best:
+                    optima.add(tuple(point))
+    if best is None:
         _raise_infeasible(problem, "minimum-distance selection")
-    max_u_start = tuple(float(x) for x in _max_u_vertices(n, vertices)[0])
-
-    if problem.require_normalized:  # (rows, pinned coordinate or None, vertices)
-        regions = []
-        for i, pinned in enumerate(per_pin):
-            if pinned:
-                row = [0.0] * n
-                row[i] = 1.0
-                regions.append((base + [(row, "=", 1.0)], i, pinned))
-    else:
-        regions = [(base, None, sorted(vertices, reverse=True))]
-
-    finalists = []
-    for rows, pin, vertices in regions:
-        directions = _search_directions(n, problem, pin, metric)
-        starts = []
-        proj = _l1_projection(n, rows, prior)
-        if proj is not None:
-            starts.append(proj)
-        if pin is None or max_u_start[pin] == 1.0:
-            starts.append(max_u_start)
-        if _check_feasible(prior, problem) and (pin is None or prior[pin] == 1.0):
-            starts.append(tuple(prior))
-        starts.extend(tuple(float(x) for x in v) for v in vertices)
-        # pairwise midpoints of the first starts, capped to bound the work
-        midpoints = [
-            tuple((np.asarray(a) + np.asarray(b)) / 2.0)
-            for a, b in itertools.combinations(starts[:11], 2)
-        ]
-        for s in itertools.chain(starts, midpoints[:16]):
-            point, value = _descend(s, rows, prior, metric, directions)
-            finalists.append((value, point))
-
-    best_val = min(v for v, _ in finalists)
-    tied = sorted({p for v, p in finalists if v <= best_val + 1e-12}, reverse=True)
-    chosen = tied[0]
-    dist = DiscreteDistribution(problem.labels, chosen)
-    if not _check_feasible(chosen, problem):
-        raise InfeasibleProblemError("internal error: solver produced an infeasible point")
-    value = (big_g if metric == "G" else big_k)(dist, problem.objective.prior)
+    tied = sorted(optima, reverse=True)
+    dist = DiscreteDistribution(problem.labels, [float(x) for x in tied[0]])
     certificate = {
-        "method": "multi-start coordinate descent",
-        "metric": metric,
-        "pinned_coordinates": [pin for _, pin, _ in regions],
-        "starts": len(finalists),
-        "tied_optima": [tuple(p) for p in tied],
+        "method": "vertex enumeration",
+        "metric": search.metric,
+        "vertices": len(scores),
+        "tied_optima": [tuple(float(x) for x in p) for p in tied],
     }
+    value = (big_g if search.metric == "G" else big_k)(dist, problem.objective.prior)
     return InferenceSolution(dist, value, certificate)
 
 

@@ -43,10 +43,15 @@ def _log_weights(n):
     return np.diff(np.log(np.arange(1, n + 1)))
 
 
+# kept for rows of up to 64 values: the solvers score millions of short rows
+_SHORT_LOG_WEIGHTS = [_log_weights(n) for n in range(65)]
+
+
 def _u_of_rows(values):
     """U of each row (last axis); a row and the same values alone agree bit for bit."""
     p = np.sort(values, axis=-1)[..., ::-1]
-    return p[..., 1:] @ _log_weights(p.shape[-1])  # empty product: 0.0 for one value
+    n = p.shape[-1]  # the empty product gives 0.0 for one value
+    return p[..., 1:] @ (_SHORT_LOG_WEIGHTS[n] if n <= 64 else _log_weights(n))
 
 
 def _u_of_values(values):

@@ -7,8 +7,10 @@ value from those per-segment level set measures, the information value
 on the x side from a rearranged curve where the library integrates on
 the level side, the inverse of a quadratic level piece by bisection, and
 the level measure and rearrangement by scalar per-piece loops where the
-library uses array passes.  They exist so the main code paths can be
-checked against independently computed values.
+library uses array passes, and the minimum-distance posterior by the
+former multi-start coordinate descent where the library enumerates cell
+vertices exactly.  They exist so the main code paths can be checked
+against independently computed values.
 """
 
 import itertools
@@ -18,8 +20,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from possinfo import DiscreteDistribution, DivergenceError, LevelMeasure, PiecewisePossibility
+from possinfo import (
+    DiscreteDistribution,
+    DivergenceError,
+    InfeasibleProblemError,
+    LevelMeasure,
+    PiecewisePossibility,
+    big_g,
+    big_k,
+)
 from possinfo.discrete import NORMALIZATION_TOL
+from possinfo.inference import (
+    _MIN_DIST_SIZE,
+    InferenceSolution,
+    MinDistance,
+    _base_rows,
+    _check_feasible,
+    _max_u_vertices,
+    _raise_infeasible,
+    _region_vertices,
+)
+from possinfo.measures import _u_of_values
 from possinfo.simplex import solve_lp
 
 
@@ -96,22 +117,24 @@ def level_measure_by_active_set(f):
     x0, x1 = xs[:-1], xs[1:]
     v0, v1 = vs[:-1], vs[1:]
     w = x1 - x0
-    const = v0 == v1
     lo = np.minimum(v0, v1)
     hi = np.maximum(v0, v1)
 
     b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
     K = len(b) - 1
 
+    # as in the library, a segment whose rate is not a finite float (a
+    # constant one, or one too steep) counts as constant at its low value
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = w / (hi - lo)
+    const = ~np.isfinite(rate)
     nz = np.nonzero(~const)[0]
-    rate = np.zeros(len(w))
-    rate[nz] = w[nz] / (hi[nz] - lo[nz])
 
     lo_sorted = np.sort(lo[nz])
     w_suffix = np.concatenate((np.cumsum(w[nz][np.argsort(lo[nz], kind="stable")][::-1])[::-1], [0.0]))
     cidx = np.nonzero(const)[0]
-    cv_sorted = np.sort(v0[cidx])
-    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(v0[cidx], kind="stable")][::-1])[::-1], [0.0]))
+    cv_sorted = np.sort(lo[cidx])
+    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(lo[cidx], kind="stable")][::-1])[::-1], [0.0]))
 
     def mass_at_or_above(y):
         i = np.searchsorted(lo_sorted, y, side="left")
@@ -300,6 +323,250 @@ def max_u_by_orderings(problem):
             rows = rows + [(_unit(n, i), "=", res.objective)]
         points.append(tuple(point))
     return best, max(points)
+
+
+# ---------------------------------------------------------------------------
+# minimum-distance posterior by multi-start coordinate descent
+
+
+def _g_pair(v, p):
+    j = np.maximum(v, p)
+    uj = _u_of_values(j)
+    return uj - _u_of_values(v), uj - _u_of_values(p)
+
+
+def _distance(v, p, metric):
+    g1, g2 = _g_pair(v, p)
+    return g1 + g2 if metric == "G" else max(g1, g2)
+
+
+def _direction_interval(rows, v, d):
+    """Feasible t-range for the move v + t*d inside the polytope and box."""
+    lo, hi = -math.inf, math.inf
+    for coeffs, rel, bound in rows:
+        a = sum(c * dk for c, dk in zip(coeffs, d))
+        if a == 0.0:
+            continue
+        limit = (bound - sum(c * x for c, x in zip(coeffs, v))) / a
+        if rel == "=":
+            lo = max(lo, limit)
+            hi = min(hi, limit)
+        elif (rel == "<=") == (a > 0.0):
+            hi = min(hi, limit)
+        else:
+            lo = max(lo, limit)
+    for k, dk in enumerate(d):
+        if dk == 0.0:
+            continue
+        t0 = (0.0 - v[k]) / dk
+        t1 = (1.0 - v[k]) / dk
+        lo = max(lo, min(t0, t1))
+        hi = min(hi, max(t0, t1))
+    # the current point is feasible, so t = 0 belongs to the range
+    return min(lo, 0.0), max(hi, 0.0)
+
+
+def _point_at(v, d, t):
+    return np.clip(np.asarray(v) + t * np.asarray(d), 0.0, 1.0)
+
+
+def _line_minimize(v, d, rows, prior, metric, best):
+    """Exact minimum of the distance along v + t*d over the feasible range.
+
+    Between consecutive candidate points every value entering the sorted
+    U-sums moves linearly, so the distance is linear (G) or a max of two
+    linear branches (K) there; evaluating the kinks suffices.
+    """
+    n = len(v)
+    lo, hi = _direction_interval(rows, v, d)
+    if hi - lo <= 1e-14:
+        return None
+    moving = [k for k in range(n) if d[k] != 0.0]
+    crit = {0.0, 1.0}
+    crit.update(float(p) for p in prior)
+    for m in range(n):
+        if d[m] == 0.0:
+            crit.add(float(v[m]))
+            crit.add(float(max(v[m], prior[m])))
+    ts = {lo, hi, 0.0}
+    for k in moving:
+        for x in crit:
+            t = (x - v[k]) / d[k]
+            if lo < t < hi:
+                ts.add(t)
+    for a_i, b_i in itertools.combinations(moving, 2):
+        if d[a_i] != d[b_i]:
+            t = (v[b_i] - v[a_i]) / (d[a_i] - d[b_i])
+            if lo < t < hi:
+                ts.add(t)
+    cands = sorted(ts)
+    if metric == "K":
+        extra = []
+        for a, b in zip(cands, cands[1:]):
+            g1a, g2a = _g_pair(_point_at(v, d, a), prior)
+            g1b, g2b = _g_pair(_point_at(v, d, b), prior)
+            da, db = g1a - g2a, g1b - g2b
+            if (da > 0 > db) or (da < 0 < db):
+                extra.append(a + da / (da - db) * (b - a))
+        cands.extend(extra)
+    cur_val, cur_t = best, None
+    for t in cands:
+        val = _distance(_point_at(v, d, t), prior, metric)
+        if val < cur_val - 1e-15:
+            cur_val, cur_t = val, t
+    if cur_t is None:
+        return None
+    return cur_val, cur_t
+
+
+def _descend(v0, rows, prior, metric, directions):
+    """Greedy line minimization over the given directions until stable."""
+    v = np.clip(np.asarray(v0, dtype=float), 0.0, 1.0).tolist()
+    best = _distance(np.asarray(v), prior, metric)
+    for _pass in range(60):
+        improved = False
+        for d in directions:
+            step = _line_minimize(v, d, rows, prior, metric, best)
+            if step is not None:
+                best, t = step
+                v = _point_at(v, d, t).tolist()
+                improved = True
+        if not improved:
+            break
+    return tuple(v), best
+
+
+def _search_directions(n, problem, pin, metric):
+    """Coordinate axes plus in-hyperplane pair moves for equality rows.
+
+    The K objective is a max of two branches whose minimum often sits on a
+    ridge that single-axis moves cannot follow, so it also gets diagonal
+    pair directions.
+    """
+    directions = []
+    for i in range(n):
+        if i == pin:
+            continue
+        e = [0.0] * n
+        e[i] = 1.0
+        directions.append(tuple(e))
+    if metric == "K":
+        for i, j in itertools.combinations(range(n), 2):
+            if pin in (i, j):
+                continue
+            for sj in (1.0, -1.0):
+                d = [0.0] * n
+                d[i] = 1.0
+                d[j] = sj
+                directions.append(tuple(d))
+    eq_rows = [c.coefficients for c in problem.constraints if c.relation == "="]
+    for coeffs in eq_rows:
+        for i, j in itertools.combinations(range(n), 2):
+            if pin in (i, j):
+                continue
+            if coeffs[i] == 0.0 or coeffs[j] == 0.0:
+                continue  # an axis move already stays on this hyperplane
+            d = [0.0] * n
+            d[i] = coeffs[j]
+            d[j] = -coeffs[i]
+            directions.append(tuple(d))
+    return list(dict.fromkeys(directions))  # drop repeats, keep the order
+
+
+def _l1_projection(n, rows, target):
+    """Closest feasible point to ``target`` in the L1 sense, via an LP."""
+    ext_rows = []
+    for coeffs, rel, bound in rows:
+        ext_rows.append((list(coeffs) + [0.0] * n, rel, bound))
+    for j in range(n):
+        row = [0.0] * (2 * n)
+        row[j] = 1.0
+        row[n + j] = -1.0
+        ext_rows.append((row, "<=", target[j]))
+        row = [0.0] * (2 * n)
+        row[j] = -1.0
+        row[n + j] = -1.0
+        ext_rows.append((row, "<=", -target[j]))
+    objective = [Fraction(0)] * n + [Fraction(-1)] * n
+    res = solve_lp(2 * n, objective, ext_rows)
+    if res.status != "optimal":
+        return None
+    return tuple(float(x) for x in res.x[:n])
+
+
+def min_distance_by_descent(problem):
+    """The former ``solve_min_distance``: a local search kept as an oracle.
+
+    It may stop short of the optimum on a tight inequality row, so the
+    exact solver must never be above it.
+
+    Multi-start projected coordinate descent: starts are the L1 projection
+    of the prior, the maximum-U vertex, the prior when feasible, and every
+    enumerated vertex of the region in lexicographically descending order;
+    when normalization is required the coordinate attaining 1 is
+    enumerated.  The grid oracle certifies the result in the tests, not at
+    runtime.
+    """
+    if not isinstance(problem.objective, MinDistance):
+        raise ValueError("solve_min_distance requires a MinDistance objective")
+    n = len(problem.labels)
+    if n > _MIN_DIST_SIZE:
+        raise ValueError(f"minimum-distance search is capped at {_MIN_DIST_SIZE} labels")
+    metric = problem.objective.metric
+    prior = np.asarray(problem.objective.prior.values, dtype=float)
+    base = _base_rows(problem)
+    per_pin = _region_vertices(problem)
+    vertices = set().union(*per_pin)
+    if not vertices:
+        _raise_infeasible(problem, "minimum-distance selection")
+    max_u_start = tuple(float(x) for x in _max_u_vertices(n, vertices)[0])
+
+    if problem.require_normalized:  # (rows, pinned coordinate or None, vertices)
+        regions = []
+        for i, pinned in enumerate(per_pin):
+            if pinned:
+                row = [0.0] * n
+                row[i] = 1.0
+                regions.append((base + [(row, "=", 1.0)], i, pinned))
+    else:
+        regions = [(base, None, sorted(vertices, reverse=True))]
+
+    finalists = []
+    for rows, pin, vertices in regions:
+        directions = _search_directions(n, problem, pin, metric)
+        starts = []
+        proj = _l1_projection(n, rows, prior)
+        if proj is not None:
+            starts.append(proj)
+        if pin is None or max_u_start[pin] == 1.0:
+            starts.append(max_u_start)
+        if _check_feasible(prior, problem) and (pin is None or prior[pin] == 1.0):
+            starts.append(tuple(prior))
+        starts.extend(tuple(float(x) for x in v) for v in vertices)
+        # pairwise midpoints of the first starts, capped to bound the work
+        midpoints = [
+            tuple((np.asarray(a) + np.asarray(b)) / 2.0)
+            for a, b in itertools.combinations(starts[:11], 2)
+        ]
+        for s in itertools.chain(starts, midpoints[:16]):
+            point, value = _descend(s, rows, prior, metric, directions)
+            finalists.append((value, point))
+
+    best_val = min(v for v, _ in finalists)
+    tied = sorted({p for v, p in finalists if v <= best_val + 1e-12}, reverse=True)
+    chosen = tied[0]
+    dist = DiscreteDistribution(problem.labels, chosen)
+    if not _check_feasible(chosen, problem):
+        raise InfeasibleProblemError("internal error: solver produced an infeasible point")
+    value = (big_g if metric == "G" else big_k)(dist, problem.objective.prior)
+    certificate = {
+        "method": "multi-start coordinate descent",
+        "metric": metric,
+        "pinned_coordinates": [pin for _, pin, _ in regions],
+        "starts": len(finalists),
+        "tied_optima": [tuple(p) for p in tied],
+    }
+    return InferenceSolution(dist, value, certificate)
 
 
 def random_normalized_values(rng, n, grid=None):

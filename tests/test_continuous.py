@@ -422,7 +422,9 @@ class TestExtremeGaps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = info(f)
+            oracle = info_from_level(level_measure_by_active_set(f))
         assert value == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+        assert value == pytest.approx(oracle, abs=1e-12)
 
 
 class TestInfoFromLevel:
@@ -441,6 +443,18 @@ class TestInfoFromLevel:
             f = random_piecewise(rng)
             P = level_measure(f)
             assert info_from_level(P) == pytest.approx(info_of_descending(rearrange(P)), abs=1e-6)
+
+    def test_nearly_flat_piece_keeps_its_digits(self):
+        # P = 1 - eps * y on [0, 1/2], then linear down to P(1) = 0.  The
+        # first piece's root lies about 1e10 beyond it, so its term
+        # w + (h - r) * log1p(w / r) cancels to 0.375 eps + O(eps^2) and
+        # needs log1p: log(1 + w / r) would be off by about 1e-6
+        eps = 1e-10
+        P = LevelMeasure(
+            (0.0, 0.5, 1.0), ((1.0 - 0.5 * eps, -eps, 0.0), (0.0, -2.0 * (1.0 - 0.5 * eps), 0.0)),
+            total=1.0,
+        )
+        assert info_from_level(P) == pytest.approx(0.5 + 0.375 * eps, abs=1e-15)
 
     def test_rejects_bad_total(self):
         P = LevelMeasure((0.0, 1.0), ((0.5, -0.5, 0.0),), total=0.5)

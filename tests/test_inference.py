@@ -21,7 +21,7 @@ from possinfo import (
 )
 from possinfo.simplex import feasible_point, solve_lp
 
-from conftest import max_u_by_orderings
+from conftest import max_u_by_orderings, min_distance_by_descent
 
 LN2 = math.log(2.0)
 
@@ -64,6 +64,44 @@ class TestSimplex:
 
 def problem(labels, constraints, objective=None, normalized=True):
     return InferenceProblem(labels, constraints, objective or MaxU(), normalized)
+
+
+def tight_row_problem(metric):
+    # the former coordinate descent stopped short here: its moves could not
+    # slide along the first row, which is tight at the optimum
+    labels = ("x0", "x1", "x2", "x3")
+    cons = (LinearConstraint((1, -0.2, 0.5, 0.5), "<=", 0.9),
+            LinearConstraint((-0.9, 0.2, 0.7, 0.5), ">=", -5.55e-17))
+    prior = DiscreteDistribution(labels, (0.8, 0.4, 1.0, 0.5))
+    return problem(labels, cons, MinDistance(prior, metric), normalized=False)
+
+
+def random_min_distance_problem(rng, metric, normalized):
+    """0-3 rows on the 0.1 grid around a feasible witness, as in criterion 8.
+
+    Most problems have 2 labels: at 4 labels the descent and the 0.02 grid
+    oracle each take about half a second.
+    """
+    n = int(rng.choice([2, 3, 4], p=[0.9, 0.09, 0.01]))
+    labels = tuple(f"x{i}" for i in range(n))
+    witness = rng.integers(0, 11, n) / 10.0
+    witness[rng.integers(n)] = 1.0
+    cons = []
+    for _ in range(int(rng.integers(0, 4))):
+        rel = str(rng.choice(["<=", ">=", "="]))
+        if rel == "=":
+            i = int(rng.integers(n))
+            cons.append(LinearConstraint(tuple(float(j == i) for j in range(n)), "=", witness[i]))
+            continue
+        c = rng.integers(-10, 11, n) / 10.0
+        if not np.any(c):
+            c[0] = 1.0
+        bound = float(c @ witness) + (0.1 if rel == "<=" else -0.1)
+        cons.append(LinearConstraint(tuple(c), rel, bound))
+    prior = rng.integers(0, 11, n) / 10.0
+    prior[rng.integers(n)] = 1.0
+    return problem(labels, tuple(cons), MinDistance(DiscreteDistribution(labels, prior), metric),
+                   normalized)
 
 
 class TestConstraintValidation:
@@ -281,6 +319,49 @@ class TestSolveMinDistance:
         prior = max_uncertain(7, labels)
         with pytest.raises(ValueError, match="capped"):
             solve_min_distance(problem(labels, (), MinDistance(prior, "G")))
+
+    def test_tight_row_reaches_the_grid_optimum(self):
+        prob = tight_row_problem("G")
+        sol = solve_min_distance(prob)
+        assert sol.objective_value == pytest.approx(0.216053456330147, abs=1e-12)
+        assert sol.distribution.values == pytest.approx((0.48, 0.4, 0.5, 0.5), abs=1e-12)
+        # the optimum lies on the 0.02 grid, so the 0.01 oracle, which sits
+        # between this value and the 0.02 oracle's, finds it too
+        oracle = brute_force_oracle(prob, 0.02)
+        assert abs(sol.objective_value - oracle.objective_value) <= 1e-12
+
+    def test_tight_row_k_beats_the_descent(self):
+        prob = tight_row_problem("K")
+        sol = solve_min_distance(prob)
+        # min_distance_by_descent returns 0.15333 here; it is not rerun, as
+        # it takes 2.4 s at 4 labels
+        assert sol.objective_value == pytest.approx(0.14849, abs=1e-5)
+
+    def test_never_above_descent_or_grid_oracle(self, rng):
+        checked = 0
+        while checked < 300:
+            metric = "GK"[checked // 2 % 2]
+            prob = random_min_distance_problem(rng, metric, normalized=checked % 2 == 0)
+            try:
+                sol = solve_min_distance(prob)
+            except InfeasibleProblemError:
+                continue
+            descent = min_distance_by_descent(prob)
+            oracle = brute_force_oracle(prob, 0.02)
+            assert sol.objective_value <= descent.objective_value + 1e-12
+            assert sol.objective_value <= oracle.objective_value + 1e-9
+            checked += 1
+
+    def test_tied_optima_break_toward_the_lexicographically_largest(self):
+        # below the prior G = U(prior) - U(v), so the budget goes to one
+        # coordinate up to its prior value and the rest to the other
+        labels = ("a", "b", "c")
+        prior = DiscreteDistribution(labels, (1.0, 0.75, 0.75))
+        cons = (LinearConstraint((0, 1, 1), "<=", 1.0),)
+        sol = solve_min_distance(problem(labels, cons, MinDistance(prior, "G")))
+        assert sol.certificate["tied_optima"] == [(1.0, 0.75, 0.25), (1.0, 0.25, 0.75)]
+        assert sol.distribution.values == (1.0, 0.75, 0.25)
+        assert sol.objective_value == pytest.approx(0.5 * math.log(1.5), abs=1e-15)
 
     def test_objective_value_matches_public_metric(self):
         cons = (LinearConstraint((0, 0, 1), ">=", 0.5),)
