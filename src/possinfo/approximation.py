@@ -8,15 +8,20 @@ as a limit:
 
 For f(x) = 1 - x the sample values are n, n-1, ..., 1 over n, so
 U = ln(n!) / n exactly and Stirling's formula gives ln n - U -> 1.
+
+``approx_info`` and ``convergence_series`` sample f to a float array and
+take U straight from it; ``discretize`` is the labelled view of the same
+samples, as a ``DiscreteDistribution`` on labels x1..xn.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete import DiscreteDistribution
-from .measures import u_uncertainty
+from .measures import _u_of_values
 
 _GRIDS = ("left", "right")
 
@@ -56,15 +61,9 @@ class ConvergenceSeries:
         return f"ConvergenceSeries({len(self.entries)} entries)"
 
 
-def discretize(f, n, grid="left"):
-    """Sample f at n uniform grid points as a finite assignment.
-
-    ``grid="left"`` uses x_i = (i-1)/n, which reproduces the exact sample
-    multiset {1, (n-1)/n, ..., 1/n} for decreasing f such as 1 - x;
-    ``grid="right"`` uses x_i = i/n.  Values are attained by f, never
-    interpolated.  No renormalization is applied: ln n - U is used on the
-    raw samples even when their max falls short of 1.
-    """
+def _sample(f, n, grid):
+    """The n grid samples of f as a float array, each checked to lie in [0, 1]."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one sample")
     if grid not in _GRIDS:
@@ -73,8 +72,29 @@ def discretize(f, n, grid="left"):
         xs = np.arange(n) / n
     else:
         xs = np.arange(1, n + 1) / n
-    values = f(xs)
-    labels = tuple(f"x{i}" for i in range(1, n + 1))
+    values = np.asarray(f(xs), dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError(f"f must return {n} values, one per grid point, got shape {values.shape}")
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"value at index {i} outside [0, 1]: {float(values[i])!r}")
+    return values
+
+
+def discretize(f, n, grid="left"):
+    """Sample f at n uniform grid points as a finite assignment.
+
+    ``grid="left"`` uses x_i = (i-1)/n, which reproduces the exact sample
+    multiset {1, (n-1)/n, ..., 1/n} for decreasing f such as 1 - x;
+    ``grid="right"`` uses x_i = i/n.  Values are attained by f, never
+    interpolated.  No renormalization is applied: ln n - U is used on the
+    raw samples even when their max falls short of 1.  This is the
+    labelled view of the samples that ``approx_info`` and
+    ``convergence_series`` take U from as a plain array.
+    """
+    values = _sample(f, n, grid)
+    labels = tuple(f"x{i}" for i in range(1, len(values) + 1))
     return DiscreteDistribution(labels, values.tolist())
 
 
@@ -84,21 +104,26 @@ def _require_normalized(f):
 
 
 def approx_info(f, n, grid="left"):
-    """Discrete information of the n-point sample: ln n - U(sample)."""
+    """Discrete information of the n-point sample: ln n - U(sample).
+
+    U is taken from the sampled array directly; it equals
+    ``u_uncertainty(discretize(f, n, grid))`` bit for bit.
+    """
     _require_normalized(f)
-    return math.log(n) - u_uncertainty(discretize(f, n, grid=grid))
+    values = _sample(f, n, grid)  # before math.log, so a bad n gets the sampler's error
+    return math.log(n) - _u_of_values(values)
 
 
 def convergence_series(f, n_list, grid="left"):
     """U and ln n - U along increasing sample counts, for a normalized f."""
     _require_normalized(f)
-    n_list = [int(n) for n in n_list]
+    n_list = [operator.index(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     entries = []
     for n in n_list:
-        u = u_uncertainty(discretize(f, n, grid=grid))
+        u = _u_of_values(_sample(f, n, grid))
         entries.append(ConvergenceEntry(n=n, u_value=u, approx_info=math.log(n) - u))
     return ConvergenceSeries(entries)

@@ -14,6 +14,8 @@ from possinfo import (
     u_uncertainty,
 )
 
+import possinfo.approximation
+
 from conftest import random_piecewise
 
 RAMP_DOWN = PiecewisePossibility([(0, 1), (1, 0)])
@@ -116,6 +118,103 @@ class TestConvergenceSeries:
         assert isinstance(series, ConvergenceSeries)
         assert series.entries[0].n == 4
         assert series.entries[0].u_value == pytest.approx(math.log(24) / 4, abs=1e-12)
+
+
+class _OneValueTooHigh:
+    """Duck-typed normalized f that returns 1 + 2**-52 at one grid point."""
+
+    is_normalized = True
+
+    def __call__(self, xs):
+        values = np.ones_like(xs)
+        values[len(values) // 2] = 1.0 + 2.0**-52
+        return values
+
+
+class TestArraySampling:
+    """approx_info and convergence_series take U from the sampled array."""
+
+    NS = (1, 2, 64, 65, 1000)
+
+    def test_approx_info_matches_discretized_u_exactly(self, rng):
+        for _ in range(20):
+            f = random_piecewise(rng, max_interior=int(rng.integers(0, 30)))
+            for grid in ("left", "right"):
+                for n in self.NS:
+                    expected = math.log(n) - u_uncertainty(discretize(f, n, grid=grid))
+                    assert approx_info(f, n, grid) == expected
+
+    def test_series_matches_discretized_u_exactly(self, rng):
+        for _ in range(20):
+            f = random_piecewise(rng, max_interior=int(rng.integers(0, 30)))
+            for grid in ("left", "right"):
+                for e in convergence_series(f, self.NS, grid=grid):
+                    u = u_uncertainty(discretize(f, e.n, grid=grid))
+                    assert e.u_value == u
+                    assert e.approx_info == math.log(e.n) - u
+
+    def test_builds_no_labelled_distribution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DiscreteDistribution was built")
+
+        monkeypatch.setattr(possinfo.approximation, "DiscreteDistribution", refuse)
+        assert abs(approx_info(RAMP_DOWN, 1000) - 1.0) < 0.005
+        assert len(convergence_series(RAMP_DOWN, (10, 100))) == 2
+        with pytest.raises(AssertionError, match="DiscreteDistribution"):
+            discretize(RAMP_DOWN, 4)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_count_rejected_before_log(self, n):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            approx_info(RAMP_DOWN, n)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            convergence_series(RAMP_DOWN, (n, 10))
+
+    def test_fractional_count_is_type_error(self):
+        with pytest.raises(TypeError):
+            approx_info(RAMP_DOWN, 10.5)
+        with pytest.raises(TypeError):
+            convergence_series(RAMP_DOWN, (10.5, 20))
+        with pytest.raises(TypeError):
+            discretize(RAMP_DOWN, 10.5)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert approx_info(RAMP_DOWN, np.int64(100)) == approx_info(RAMP_DOWN, 100)
+        series = convergence_series(RAMP_DOWN, np.array([10, 100]))
+        assert [type(e.n) for e in series] == [int, int]
+        assert [e.approx_info for e in series] == [approx_info(RAMP_DOWN, n) for n in (10, 100)]
+
+    def test_out_of_range_sample_rejected_on_every_path(self):
+        f = _OneValueTooHigh()
+        message = "value at index 5 outside [0, 1]: 1.0000000000000002"
+        for call in (
+            lambda: approx_info(f, 10),
+            lambda: convergence_series(f, (10, 20)),
+            lambda: discretize(f, 10),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_nan_sample_rejected(self):
+        class NanAt0:
+            is_normalized = True
+
+            def __call__(self, xs):
+                return np.where(xs == 0.0, np.nan, 1.0)
+
+        with pytest.raises(ValueError, match=r"value at index 0 outside \[0, 1\]: nan$"):
+            approx_info(NanAt0(), 3)
+
+    def test_misshapen_sample_rejected(self):
+        class Scalar:
+            is_normalized = True
+
+            def __call__(self, xs):
+                return 1.0
+
+        with pytest.raises(ValueError, match="one per grid point"):
+            approx_info(Scalar(), 3)
 
 
 class TestConvergenceRate:

@@ -231,6 +231,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:data:")
         assert not out.exists()
 
+    def test_approx_of_zero_samples_is_data_error(self, docs, tmp_path, capsys):
+        lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
+        out = tmp_path / "series.csv"
+        assert run_command(["approx", lin, "--n", "0,10", "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:data:")
+        assert not out.exists()
+
     def test_infer_writes_solution(self, docs, tmp_path, capsys):
         prob = docs(
             "prob.json",
