@@ -4,14 +4,13 @@ Given linear constraints on an unknown assignment, pick the admissible
 one carrying maximum U-uncertainty, or the one closest to a prior in an
 information metric (G or K).
 
-U is convex on each region where one fixed coordinate is largest, so its
-maximum sits at a vertex of such a region: ``solve_max_u`` enumerates
-those vertices exactly in rationals and keeps the best one.  G and K are
-piecewise linear on the cells cut out by v_a = v_b and v_a = prior_b, so
-``solve_min_distance`` enumerates the cell vertices in the feasible
-polytope (for K also the edge points where U(v) = U(prior)) and rescores
-the best exactly.  ``brute_force_oracle`` scans a grid and validates both
-solvers in the tests.
+U is linear on each cell cut out by v_a = v_b, v_a = 0 and v_a = 1, and G
+and K are piecewise linear on the finer cells where v_a = prior_b cuts
+too.  So both solvers run one search: it enumerates the cell vertices in
+the feasible polytope (for K also the edge points where U(v) = U(prior)),
+scores them in floats and rescores the best exactly in rationals.
+``brute_force_oracle`` scans a grid and validates both solvers in the
+tests.
 """
 
 import itertools
@@ -47,6 +46,8 @@ class LinearConstraint:
             self, "coefficients", tuple(float(c) for c in self.coefficients)
         )
         object.__setattr__(self, "bound", float(self.bound))
+        if not all(map(math.isfinite, (*self.coefficients, self.bound))):
+            raise ValueError("coefficients and bound must be finite")
         if self.relation not in _RELS:
             raise ValueError(f"relation must be one of {_RELS}, got {self.relation!r}")
         if not any(c != 0.0 for c in self.coefficients):
@@ -198,99 +199,6 @@ def _solve_integer(matrix, rhs):
     return [sign * row[k] for row in m], sign * det
 
 
-def _pin_vertices(n, rows, pin):
-    """Vertices of the region where coordinate ``pin`` holds a largest value.
-
-    ``rows`` carry the region's own rows on v_pin.  At a vertex every other
-    coordinate is 0, tied to v_pin, or free, and the unknowns (v_pin and
-    the free values) solve as many rows read as equalities; a solution is
-    kept when it lies in the region and satisfies every row.
-    """
-    others = [j for j in range(n) if j != pin]
-    found = set()
-    for states in itertools.product((0, 1, 2), repeat=n - 1):  # zero, tied, free
-        free = [j for j, s in zip(others, states) if s == 2]
-        tied = [pin] + [j for j, s in zip(others, states) if s == 1]
-        for chosen in itertools.combinations(rows, len(free) + 1):
-            matrix = [[sum(a[j] for j in tied)] + [a[j] for j in free] for a, _, _ in chosen]
-            sol = _solve_integer(matrix, [b for _, _, b in chosen])
-            if sol is None:
-                continue
-            (t, *values), den = sol
-            point = [0] * n
-            for j in tied:
-                point[j] = t
-            for j, x in zip(free, values):
-                point[j] = x
-            if all(0 <= x <= t for x in point) and _satisfies(rows, point, den):
-                found.add(tuple(Fraction(x, den) for x in point))
-    return found
-
-
-def _region_vertices(problem):
-    """Per coordinate i, the vertices of the feasible region where v_i is largest.
-
-    Normalized, that region is v_i = 1; unnormalized, it is v_j <= v_i for
-    all j.  Each list is sorted lexicographically descending.
-    """
-    n = len(problem.labels)
-    rows = _integer_rows(problem)
-    out = []
-    for i in range(n):
-        unit = [int(j == i) for j in range(n)]
-        if problem.require_normalized:
-            region = [(unit, "=", 1)]
-        else:
-            region = [(unit, "<=", 1), (unit, ">=", 0)]
-        out.append(sorted(_pin_vertices(n, rows + region, i), reverse=True))
-    return out
-
-
-def _max_u_vertices(n, vertices):
-    """Vertices of exactly maximal U, lexicographically descending."""
-    weights = _position_weights(n)
-    scores = {v: sum(w * x for w, x in zip(weights, sorted(v, reverse=True))) for v in vertices}
-    best = max(scores.values())
-    return sorted((v for v, s in scores.items() if s == best), reverse=True)
-
-
-def solve_max_u(problem):
-    """Feasible assignment of maximal U-uncertainty, by exact vertex enumeration.
-
-    With the largest coordinate v_i fixed, U = -ln 2 * v_i + sum_{k>=2}
-    (w_k - w_{k+1}) * S_k, where S_k is the sum of the k largest values,
-    the weights w_k = ln k - ln(k-1) decrease and w_{n+1} = 0.  So U is
-    convex on the region where v_i is largest and, by Bauer's maximum
-    principle, attains its maximum at a vertex.  Its argmax set is a union
-    of faces, so the lexicographically largest maximizer, which breaks
-    ties, is a vertex too.  Vertices are enumerated exactly in rationals
-    and scored with the rational images of the float weights.
-    """
-    if not isinstance(problem.objective, MaxU):
-        raise ValueError("solve_max_u requires a MaxU objective")
-    n = len(problem.labels)
-    if n > _MAX_U_SIZE:
-        raise ValueError(f"vertex enumeration is capped at {_MAX_U_SIZE} labels")
-    vertices = set().union(*_region_vertices(problem))
-    if not vertices:
-        _raise_infeasible(problem, "maximum-uncertainty selection")
-    optimal = _max_u_vertices(n, vertices)
-    values = [float(x) for x in optimal[0]]
-    if not _check_feasible(values, problem):
-        raise InfeasibleProblemError("internal error: solver produced an infeasible point")
-    dist = DiscreteDistribution(problem.labels, values)
-    certificate = {
-        "method": "vertex enumeration",
-        "vertices": len(vertices),
-        "candidates": [tuple(float(x) for x in v) for v in optimal],
-    }
-    return InferenceSolution(dist, u_uncertainty(dist), certificate)
-
-
-# ---------------------------------------------------------------------------
-# minimum-distance posterior
-
-
 def _partitions(items):
     """Every split of ``items`` into nonempty blocks."""
     if not items:
@@ -351,17 +259,26 @@ def _exact_u(point, weights):
     return sum(w * x for w, x in zip(weights, sorted(point, reverse=True)))
 
 
-class _MinDistanceSearch:
-    """Candidates of ``solve_min_distance``: a float pass per pattern, exact points on demand."""
+class _VertexSearch:
+    """Cell vertices of a problem: a float pass per pattern, exact points on demand.
+
+    The objective is minimized: -U over the constants {0, 1} for MaxU, G
+    or K over {0, 1} and the prior's values for MinDistance, where K also
+    takes the points on lines with one row fewer where U(v) = U(prior).
+    """
 
     def __init__(self, problem):
         self.n = len(problem.labels)
-        self.metric = problem.objective.metric
+        self.metric = getattr(problem.objective, "metric", None)
         self.normalized = problem.require_normalized
-        self.prior = np.asarray(problem.objective.prior.values, dtype=float)
-        self.a = np.array([c.coefficients for c in problem.constraints]).reshape(-1, self.n)
-        self.b = np.array([c.bound for c in problem.constraints])
+        self.prior = np.asarray(problem.objective.prior.values if self.metric else [], dtype=float)
         self.rows = _integer_rows(problem)
+        # each row shifted by a power of two to a largest magnitude in (1/2, 1]:
+        # the same hyperplane, and no float overflow in the passes below
+        self.shifts = [(max(map(abs, (*a, b))) - 1).bit_length() for a, _, b in self.rows]
+        self.a = np.array([[x / (1 << s) for x in a] for (a, _, _), s
+                           in zip(self.rows, self.shifts)]).reshape(-1, self.n)
+        self.b = np.array([b / (1 << s) for (_, _, b), s in zip(self.rows, self.shifts)])
         self.consts = np.array(sorted({0.0, 1.0, *self.prior.tolist()}))
         self.weights = _position_weights(self.n)
         self.grids = {}
@@ -378,8 +295,9 @@ class _MinDistanceSearch:
     def candidates(self, groups, chosen, line):
         """(constant assignments, float points): a pattern's vertices, or its line's split points.
 
-        An ill-conditioned system is solved exactly instead, for the
-        assignments whose right-hand sides its groups can reach in [0, 1].
+        An ill-conditioned system, or one whose inverse overflows, is solved
+        exactly instead, for the assignments whose right-hand sides its
+        groups can reach in [0, 1].
         """
         split = _split(self.rows, groups, chosen, line)
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
@@ -388,14 +306,17 @@ class _MinDistanceSearch:
             return None
         pivot, solved = split
         k = len(chosen)
-        # the integer rows in float; their exact inverse bounds the float error
-        a = np.array([self.rows[r][0] for r in chosen], dtype=float).reshape(k, self.n)
-        b = np.array([self.rows[r][2] for r in chosen], dtype=float)[:, None]
+        # the shifted rows in float; their exact inverse bounds the float error
+        a, b = self.a[list(chosen)], self.b[list(chosen)][:, None]
         rhs = b - a[:, fixed] @ values.T
         matrix = _group_matrix(self.rows, solved, chosen)
         cols = [_solve_integer(matrix, [int(i == j) for i in range(k)]) for j in range(k)]
-        inv = np.array([[x / den for x in nums] for nums, den in cols]).reshape(k, k).T
         slack = 1e-15 * (np.abs(b) + np.abs(a).sum(axis=1)[:, None])
+        try:
+            inv = np.array([[(x << self.shifts[r]) / den for x in nums]
+                            for (nums, den), r in zip(cols, chosen)]).reshape(k, k).T
+        except OverflowError:  # an inverse beyond the float range is as ill-conditioned
+            inv = np.full((k, k), np.inf)
         if (np.abs(inv) @ slack > 1e-12).any():
             sums = np.array([[a[i, g].sum() for g in groups] for i in range(k)])
             low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack
@@ -434,8 +355,10 @@ class _MinDistanceSearch:
         return ok
 
     def score(self, points):
-        uj, uv = _u_of_rows(np.maximum(points, self.prior)), _u_of_rows(points)
-        up = _u_of_values(self.prior)
+        uv = _u_of_rows(points)
+        if self.metric is None:
+            return -uv
+        uj, up = _u_of_rows(np.maximum(points, self.prior)), _u_of_values(self.prior)
         return 2.0 * uj - uv - up if self.metric == "G" else uj - np.minimum(uv, up)
 
     def exact_points(self, groups, chosen, line, fixed_values):
@@ -461,9 +384,77 @@ class _MinDistanceSearch:
         return [[x + s * t for x, s in zip(zero, slope)] for t in roots]
 
     def exact_score(self, point):
+        uv = _exact_u(point, self.weights)
+        if self.metric is None:
+            return -uv
         prior = [Fraction(x) for x in self.prior.tolist()]
-        uj, uv, up = (_exact_u(v, self.weights) for v in (map(max, point, prior), point, prior))
+        uj, up = (_exact_u(v, self.weights) for v in (map(max, point, prior), prior))
         return 2 * uj - uv - up if self.metric == "G" else uj - min(uv, up)
+
+
+def _exact_minimizers(problem):
+    """(float candidates, exact minimizers lexicographically descending) over the cell vertices.
+
+    Each pattern's constant assignments are solved and scored in one float
+    pass; the candidates within 1e-9 of the best are then solved, checked
+    and scored exactly with the rational images of the float weights.
+    """
+    search = _VertexSearch(problem)
+    batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
+    for line in (False, True) if search.metric == "K" else (False,):
+        for groups, chosen in _patterns(search.n, len(search.rows), line):
+            found = search.candidates(groups, chosen, line)
+            if found is not None:
+                values, points = found
+                ok = search.feasible(points)
+                if ok.any():
+                    batches.append(((groups, chosen, line), values[ok], search.score(points[ok])))
+    scores = np.concatenate([np.empty(0)] + [b[2] for b in batches])
+    refs = [(pattern, v) for pattern, values, _ in batches for v in values]
+
+    best, optima = None, set()
+    for c in np.argsort(scores, kind="stable").tolist():
+        if best is not None and scores[c] > float(best) + 1e-9:
+            break
+        for point in search.exact_points(*refs[c][0], refs[c][1]):
+            if _exact_feasible(search.rows, point):
+                s = search.exact_score(point)
+                if best is None or s < best:
+                    best, optima = s, set()
+                if s == best:
+                    optima.add(tuple(point))
+    return len(scores), sorted(optima, reverse=True)
+
+
+def solve_max_u(problem):
+    """Feasible assignment of maximal U-uncertainty, by exact cell-vertex enumeration.
+
+    U = sum_k w_k * v_(k), with v_(k) the k-th largest value and weights
+    w_k = ln k - ln(k-1), is linear on every cell cut out by v_a = v_b,
+    v_a = 0 and v_a = 1.  So its maximum sits at a vertex of such a cell in
+    the feasible polytope, and as U's argmax on a cell is a face, so does
+    the lexicographically largest maximizer, which breaks ties.  The
+    search and the certificate's ``vertices`` are those of
+    ``solve_min_distance``, with the constants 0 and 1 only.
+    """
+    if not isinstance(problem.objective, MaxU):
+        raise ValueError("solve_max_u requires a MaxU objective")
+    n = len(problem.labels)
+    if n > _MAX_U_SIZE:
+        raise ValueError(f"vertex enumeration is capped at {_MAX_U_SIZE} labels")
+    count, optimal = _exact_minimizers(problem)
+    if not optimal:
+        _raise_infeasible(problem, "maximum-uncertainty selection")
+    values = [float(x) for x in optimal[0]]
+    if not _check_feasible(values, problem):
+        raise InfeasibleProblemError("internal error: solver produced an infeasible point")
+    dist = DiscreteDistribution(problem.labels, values)
+    certificate = {
+        "method": "vertex enumeration",
+        "vertices": count,
+        "candidates": [tuple(float(x) for x in v) for v in optimal],
+    }
+    return InferenceSolution(dist, u_uncertainty(dist), certificate)
 
 
 def solve_min_distance(problem):
@@ -476,56 +467,29 @@ def solve_min_distance(problem):
     normalization, some constant is 1).  K is the larger of two linear
     branches on a cell and adds the points where U(v) = U(prior) on each
     line with one row fewer; U is linear between the points where a group
-    meets a constant or another group, so that root is exact.  All
-    constant assignments of a pattern are solved and scored in one float
-    pass; the candidates within 1e-9 of the best are then solved, checked
-    and scored exactly with the rational images of the float weights, and
-    the lexicographically largest exact minimizer wins.  The certificate's
-    ``vertices`` counts the float candidates, once per pattern reaching them.
+    meets a constant or another group, so that root is exact.  The
+    candidates within 1e-9 of the best float score are rescored exactly
+    and the lexicographically largest exact minimizer wins.  The
+    certificate's ``vertices`` counts the float-feasible candidates, once
+    per pattern reaching them.
     """
     if not isinstance(problem.objective, MinDistance):
         raise ValueError("solve_min_distance requires a MinDistance objective")
     n = len(problem.labels)
     if n > _MIN_DIST_SIZE:
         raise ValueError(f"minimum-distance search is capped at {_MIN_DIST_SIZE} labels")
-    search = _MinDistanceSearch(problem)
-    batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
-    for line in (False, True) if search.metric == "K" else (False,):
-        for groups, chosen in _patterns(n, len(search.rows), line):
-            found = search.candidates(groups, chosen, line)
-            if found is not None:
-                values, points = found
-                ok = search.feasible(points)
-                if ok.any():
-                    batches.append(((groups, chosen, line), values[ok], search.score(points[ok])))
-    scores = np.concatenate([np.empty(0)] + [b[2] for b in batches])
-    owner = np.concatenate([np.empty(0, int)] + [np.full(len(b[2]), i)
-                                                 for i, b in enumerate(batches)])
-    index = np.concatenate([np.empty(0, int)] + [np.arange(len(b[2])) for b in batches])
-
-    best, optima = None, set()
-    for c in np.argsort(scores, kind="stable").tolist():
-        if best is not None and scores[c] > float(best) + 1e-9:
-            break
-        pattern, values, _ = batches[owner[c]]
-        for point in search.exact_points(*pattern, values[index[c]]):
-            if _exact_feasible(search.rows, point):
-                s = search.exact_score(point)
-                if best is None or s < best:
-                    best, optima = s, set()
-                if s == best:
-                    optima.add(tuple(point))
-    if best is None:
+    count, tied = _exact_minimizers(problem)
+    if not tied:
         _raise_infeasible(problem, "minimum-distance selection")
-    tied = sorted(optima, reverse=True)
     dist = DiscreteDistribution(problem.labels, [float(x) for x in tied[0]])
+    metric = problem.objective.metric
     certificate = {
         "method": "vertex enumeration",
-        "metric": search.metric,
-        "vertices": len(scores),
+        "metric": metric,
+        "vertices": count,
         "tied_optima": [tuple(float(x) for x in p) for p in tied],
     }
-    value = (big_g if search.metric == "G" else big_k)(dist, problem.objective.prior)
+    value = (big_g if metric == "G" else big_k)(dist, problem.objective.prior)
     return InferenceSolution(dist, value, certificate)
 
 

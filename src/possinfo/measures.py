@@ -87,9 +87,9 @@ class Tau:
             raise ValueError("tau breakpoints must start at t=0 and end at t=1")
         if vs[0] != 0.0 or vs[-1] != 1.0:
             raise ValueError("tau must map 0 to 0 and 1 to 1")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(not b > a for a, b in zip(ts, ts[1:])):
             raise ValueError("t-coordinates must be strictly increasing")
-        if any(b < a for a, b in zip(vs, vs[1:])):
+        if any(not b >= a for a, b in zip(vs, vs[1:])):
             raise ValueError("tau-coordinates must be nondecreasing")
         object.__setattr__(self, "ts", tuple(ts))
         object.__setattr__(self, "taus", tuple(vs))

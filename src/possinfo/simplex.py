@@ -37,17 +37,14 @@ def _price_out(tableau, basis, costs, ncols):
 def _pivot(tableau, basis, z, ncols, leaving, entering):
     piv_row = tableau[leaving]
     piv = piv_row[entering]
-    for j in range(ncols + 1):
+    cols = [j for j in range(ncols + 1) if piv_row[j]]  # zeros change nothing
+    for j in cols:
         piv_row[j] /= piv
-    for i, row in enumerate(tableau):
-        if i != leaving and row[entering]:
+    for row in tableau if z is None else [*tableau, z]:
+        if row is not piv_row and row[entering]:
             factor = row[entering]
-            for j in range(ncols + 1):
+            for j in cols:
                 row[j] -= factor * piv_row[j]
-    if z is not None and z[entering]:
-        factor = z[entering]
-        for j in range(ncols + 1):
-            z[j] -= factor * piv_row[j]
     basis[leaving] = entering
 
 

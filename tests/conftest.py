@@ -7,8 +7,9 @@ value from those per-segment level set measures, the information value
 on the x side from a rearranged curve where the library integrates on
 the level side, the inverse of a quadratic level piece by bisection, and
 the level measure and rearrangement by scalar per-piece loops where the
-library uses array passes, and the minimum-distance posterior by the
-former multi-start coordinate descent where the library enumerates cell
+library uses array passes, the maximum-U vertices by the former
+per-region enumeration and the minimum-distance posterior by the former
+multi-start coordinate descent where the library enumerates cell
 vertices exactly.  They exist so the main code paths can be checked
 against independently computed values.
 """
@@ -36,9 +37,11 @@ from possinfo.inference import (
     MinDistance,
     _base_rows,
     _check_feasible,
-    _max_u_vertices,
+    _integer_rows,
+    _position_weights,
     _raise_infeasible,
-    _region_vertices,
+    _satisfies,
+    _solve_integer,
 )
 from possinfo.measures import _u_of_values
 from possinfo.simplex import solve_lp
@@ -323,6 +326,66 @@ def max_u_by_orderings(problem):
             rows = rows + [(_unit(n, i), "=", res.objective)]
         points.append(tuple(point))
     return best, max(points)
+
+
+# ---------------------------------------------------------------------------
+# maximum U by per-region vertex enumeration (the former ``solve_max_u``)
+
+
+def _pin_vertices(n, rows, pin):
+    """Vertices of the region where coordinate ``pin`` holds a largest value.
+
+    ``rows`` carry the region's own rows on v_pin.  At a vertex every other
+    coordinate is 0, tied to v_pin, or free, and the unknowns (v_pin and
+    the free values) solve as many rows read as equalities; a solution is
+    kept when it lies in the region and satisfies every row.
+    """
+    others = [j for j in range(n) if j != pin]
+    found = set()
+    for states in itertools.product((0, 1, 2), repeat=n - 1):  # zero, tied, free
+        free = [j for j, s in zip(others, states) if s == 2]
+        tied = [pin] + [j for j, s in zip(others, states) if s == 1]
+        for chosen in itertools.combinations(rows, len(free) + 1):
+            matrix = [[sum(a[j] for j in tied)] + [a[j] for j in free] for a, _, _ in chosen]
+            sol = _solve_integer(matrix, [b for _, _, b in chosen])
+            if sol is None:
+                continue
+            (t, *values), den = sol
+            point = [0] * n
+            for j in tied:
+                point[j] = t
+            for j, x in zip(free, values):
+                point[j] = x
+            if all(0 <= x <= t for x in point) and _satisfies(rows, point, den):
+                found.add(tuple(Fraction(x, den) for x in point))
+    return found
+
+
+def _region_vertices(problem):
+    """Per coordinate i, the vertices of the feasible region where v_i is largest.
+
+    Normalized, that region is v_i = 1; unnormalized, it is v_j <= v_i for
+    all j.  Each list is sorted lexicographically descending.
+    """
+    n = len(problem.labels)
+    rows = _integer_rows(problem)
+    out = []
+    for i in range(n):
+        unit = [int(j == i) for j in range(n)]
+        if problem.require_normalized:
+            region = [(unit, "=", 1)]
+        else:
+            region = [(unit, "<=", 1), (unit, ">=", 0)]
+        out.append(sorted(_pin_vertices(n, rows + region, i), reverse=True))
+    return out
+
+
+def _max_u_vertices(n, vertices):
+    """Vertices of exactly maximal U, lexicographically descending."""
+    weights = _position_weights(n)
+    scores = {v: sum(w * x for w, x in zip(weights, sorted(v, reverse=True))) for v in vertices}
+    best = max(scores.values())
+    return sorted((v for v, s in scores.items() if s == best), reverse=True)
 
 
 # ---------------------------------------------------------------------------

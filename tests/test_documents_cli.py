@@ -179,6 +179,14 @@ class TestCli:
         out = float(capsys.readouterr().out)
         assert out == pytest.approx(0.25 * math.log(2), abs=1e-6)
 
+    @pytest.mark.parametrize("point", [[math.nan, 0.5], [0.5, math.nan]])
+    def test_nan_tau_breakpoint_is_data_error(self, docs, capsys, point):
+        path = docs("two.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]})
+        tau = docs("tau.json", {"kind": "tau", "points": [[0, 0], point, [1, 1]]})
+        assert run_command(["uncertainty", path, "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:data:")
+
     def test_info_linear(self, docs, capsys):
         path = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
         assert run_command(["info", path]) == 0
@@ -270,6 +278,23 @@ class TestCli:
         )
         assert run_command(["infer", prob, "--out", str(tmp_path / "x.json")]) == 3
         assert capsys.readouterr().err.startswith("error:math:")
+
+    @pytest.mark.parametrize("coefficients, bound", [([1, 0], math.inf), ([math.nan, 1], 0.5)])
+    def test_infer_non_finite_constraint_is_data_error(self, docs, tmp_path, capsys,
+                                                        coefficients, bound):
+        prob = docs(
+            "prob.json",
+            {
+                "labels": ["a", "b"],
+                "constraints": [{"coefficients": coefficients, "relation": "<=", "bound": bound}],
+                "objective": {"type": "max_u"},
+            },
+        )
+        out = tmp_path / "sol.json"
+        assert run_command(["infer", prob, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:data: constraints[0]: coefficients and bound must be finite")
+        assert not out.exists()
 
     def test_usage_error_is_exit_one(self, capsys):
         assert run_command(["uncertainty"]) == 1

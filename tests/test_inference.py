@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,12 @@ from possinfo import (
 )
 from possinfo.simplex import feasible_point, solve_lp
 
-from conftest import max_u_by_orderings, min_distance_by_descent
+from conftest import (
+    _max_u_vertices,
+    _region_vertices,
+    max_u_by_orderings,
+    min_distance_by_descent,
+)
 
 LN2 = math.log(2.0)
 
@@ -76,6 +82,24 @@ def tight_row_problem(metric):
     return problem(labels, cons, MinDistance(prior, metric), normalized=False)
 
 
+# two-label rows whose numbers span the float range, with the maximum-U answer
+EXTREME_ROWS = [
+    (LinearConstraint((1e308, 1e308), "<=", 1e308), (1.0, 0.0)),
+    (LinearConstraint((1e308, -1e308), ">=", -1e308), (1.0, 1.0)),
+    (LinearConstraint((1e-300, 1.0), "<=", 1.0), (1.0, 1.0)),
+    (LinearConstraint((1e-320, 1.0), "<=", 1.0), (1.0, 1.0)),
+    (LinearConstraint((5e-324, 1.0), "<=", 0.5), (1.0, 0.5)),
+]
+
+
+def exactly_feasible(values, constraint):
+    """Whether values satisfy the row in rationals, up to 1e-12 of its largest number."""
+    lhs = sum(Fraction(a) * Fraction(v) for a, v in zip(constraint.coefficients, values))
+    excess = (lhs - Fraction(constraint.bound)) / max(map(abs, constraint.coefficients))
+    slack = {"<=": excess, ">=": -excess, "=": abs(excess)}[constraint.relation]
+    return slack <= 1e-12 and all(0.0 <= v <= 1.0 for v in values)
+
+
 def random_min_distance_problem(rng, metric, normalized):
     """0-3 rows on the 0.1 grid around a feasible witness, as in criterion 8.
 
@@ -122,6 +146,14 @@ class TestConstraintValidation:
         prior = DiscreteDistribution(("a",), (1.0,))
         with pytest.raises(ValueError, match="metric"):
             MinDistance(prior, "H")
+
+    @pytest.mark.parametrize("coefficients, bound", [
+        ((math.nan, 1.0), 1.0), ((1.0, math.inf), 1.0), ((1.0, 1.0), math.inf),
+        ((1.0, 1.0), -math.inf), ((1.0, 0.0), math.nan),
+    ])
+    def test_non_finite_numbers_rejected(self, coefficients, bound):
+        with pytest.raises(ValueError, match="finite"):
+            LinearConstraint(coefficients, "<=", bound)
 
 
 class TestSolveMaxU:
@@ -182,6 +214,41 @@ class TestSolveMaxU:
             assert sol.distribution.values == tuple(float(x) for x in point)
             assert sol.objective_value == u_uncertainty(sol.distribution)
             checked += 1
+
+    def test_matches_region_vertex_engine_exactly(self, rng):
+        # the former per-region enumeration reaches sizes the ordering
+        # oracle cannot; values and tied candidates must be bit-identical
+        for k in range(40):
+            n = int(rng.integers(5, 7))
+            w = rng.integers(0, 11, n) / 10.0
+            w[rng.integers(n)] = 1.0
+            cons = []
+            for _ in range(int(rng.integers(0, 4))):
+                rel = str(rng.choice(["<=", ">=", "="]))
+                c = rng.integers(-10, 11, n) / 10.0
+                if not np.any(c):
+                    c[0] = 1.0
+                offset = {"<=": 0.1, ">=": -0.1, "=": 0.0}[rel]
+                cons.append(LinearConstraint(tuple(c), rel, float(c @ w) + offset))
+            prob = problem(tuple(f"x{i}" for i in range(n)), tuple(cons), normalized=k % 2 == 0)
+            vertices = set().union(*_region_vertices(prob))
+            if not vertices:
+                with pytest.raises(InfeasibleProblemError):
+                    solve_max_u(prob)
+                continue
+            optimal = [tuple(float(x) for x in v) for v in _max_u_vertices(n, vertices)]
+            sol = solve_max_u(prob)
+            assert sol.distribution.values == optimal[0]
+            expected = u_uncertainty(DiscreteDistribution(prob.labels, optimal[0]))
+            assert sol.objective_value == expected
+            assert sol.certificate["candidates"] == optimal
+
+    @pytest.mark.parametrize("row, expected", EXTREME_ROWS)
+    def test_extreme_magnitudes(self, row, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_max_u(problem(("a", "b"), (row,)))
+        assert sol.distribution.values == expected
 
     def test_eight_label_budget_closed_form(self):
         # sum(v) <= k + 0.5: U's weights decrease, so the budget fills k
@@ -351,6 +418,16 @@ class TestSolveMinDistance:
             assert sol.objective_value <= descent.objective_value + 1e-12
             assert sol.objective_value <= oracle.objective_value + 1e-9
             checked += 1
+
+    @pytest.mark.parametrize("metric", ["G", "K"])
+    @pytest.mark.parametrize("row", [row for row, _ in EXTREME_ROWS])
+    def test_extreme_magnitudes(self, row, metric):
+        prior = DiscreteDistribution(("a", "b"), (1.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_min_distance(problem(("a", "b"), (row,), MinDistance(prior, metric)))
+        assert exactly_feasible(sol.distribution.values, row)
+        assert sol.distribution.is_normalized
 
     def test_tied_optima_break_toward_the_lexicographically_largest(self):
         # below the prior G = U(prior) - U(v), so the budget goes to one

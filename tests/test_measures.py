@@ -127,6 +127,11 @@ class TestTau:
         with pytest.raises(ValueError, match="strictly increasing"):
             Tau([(0.0, 0.0), (0.5, 0.2), (0.5, 0.4), (1.0, 1.0)])
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_breakpoint_rejected(self, point):
+        with pytest.raises(ValueError, match="increasing|nondecreasing"):
+            Tau([(0.0, 0.0), point, (1.0, 1.0)])
+
     def test_identity_reduces_to_u(self, rng):
         ident = Tau.identity()
         for _ in range(100):
