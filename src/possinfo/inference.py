@@ -8,9 +8,10 @@ U is linear on each cell cut out by v_a = v_b, v_a = 0 and v_a = 1, and G
 and K are piecewise linear on the finer cells where v_a = prior_b cuts
 too.  So both solvers run one search: it enumerates the cell vertices in
 the feasible polytope (for K also the edge points where U(v) = U(prior)),
-scores them in floats and rescores the best exactly in rationals.
-``brute_force_oracle`` scans a grid and validates both solvers in the
-tests.
+scores them in floats and rescores the best exactly in rationals.  Each
+tie pattern's integer system is eliminated once: its determinant and
+den * M^-1 serve the float pass, the exact points and a K line's
+direction.  ``brute_force_oracle``, a grid scan, checks both in the tests.
 """
 
 import itertools
@@ -113,18 +114,6 @@ def _base_rows(problem):
     return rows
 
 
-def _check_feasible(values, problem):
-    for c in problem.constraints:
-        lhs = sum(a * v for a, v in zip(c.coefficients, values))
-        if c.relation == "<=" and lhs > c.bound + _FEAS_TOL:
-            return False
-        if c.relation == ">=" and lhs < c.bound - _FEAS_TOL:
-            return False
-        if c.relation == "=" and abs(lhs - c.bound) > _FEAS_TOL:
-            return False
-    return all(-_FEAS_TOL <= v <= 1.0 + _FEAS_TOL for v in values)
-
-
 def _raise_infeasible(problem, context):
     n = len(problem.labels)
     res = feasible_point(n, _base_rows(problem))
@@ -175,14 +164,14 @@ def _satisfies(rows, numerators, den):
 
 
 def _solve_integer(matrix, rhs):
-    """Solve an integer square system as (numerators, den > 0), or None if singular.
+    """Solve M X = B in integers: (den * X by rows, den = |det M|), or None if M is singular.
 
-    Fraction-free Gauss-Jordan elimination: every division is exact, and
-    at the end every diagonal entry equals the last pivot, which is the
-    determinant up to sign.
+    ``rhs`` holds B by rows, so B = I gives den * M^-1.  One fraction-free
+    Gauss-Jordan pass over [M | B]: every division is exact, and at the end
+    every diagonal entry equals the last pivot, the determinant up to sign.
     """
-    k = len(rhs)
-    m = [row + [b] for row, b in zip(matrix, rhs)]
+    k = len(matrix)
+    m = [row + list(b) for row, b in zip(matrix, rhs)]
     det = 1
     for c in range(k):
         p = next((r for r in range(c, k) if m[r][c]), None)
@@ -196,7 +185,7 @@ def _solve_integer(matrix, rhs):
                 m[r] = [(piv * x - f * y) // det for x, y in zip(m[r], m[c])]
         det = piv
     sign = 1 if det > 0 else -1
-    return [sign * row[k] for row in m], sign * det
+    return [[sign * x for x in row[k:]] for row in m], sign * det
 
 
 def _partitions(items):
@@ -224,29 +213,29 @@ def _group_matrix(rows, groups, chosen):
     return [[sum(rows[r][0][j] for j in g) for g in groups] for r in chosen]
 
 
-def _det(rows, groups, chosen):
-    """|det| of a pattern's integer system, 0 when singular."""
-    sol = _solve_integer(_group_matrix(rows, groups, chosen), [0] * len(chosen))
-    return sol[1] if sol else 0
+def _system(rows, groups, chosen, line):
+    """(pivot, solved groups, den * M^-1, den) of a pattern, or None if its rows are dependent.
+
+    M is the chosen rows' matrix over the solved groups.  A line's pivot
+    is the first group whose removal leaves the largest |det|.
+    """
+    unit = [[int(i == j) for j in range(len(chosen))] for i in range(len(chosen))]
+    splits = ([(g, groups[:i] + groups[i + 1:]) for i, g in enumerate(groups)] if line
+              else [([], groups)])
+    systems = [(pivot, solved, *sol) for pivot, solved in splits
+               if (sol := _solve_integer(_group_matrix(rows, solved, chosen), unit))]
+    return max(systems, key=lambda system: system[3], default=None)
 
 
-def _split(rows, groups, chosen, line):
-    """(pivot, solved groups), or None if dependent; a line's pivot leaves the largest det."""
-    pivot = []
-    if line:
-        i = max(range(len(groups)), key=lambda i: _det(rows, groups[:i] + groups[i + 1:], chosen))
-        pivot, groups = groups[i], groups[:i] + groups[i + 1:]
-    return (pivot, groups) if _det(rows, groups, chosen) else None
-
-
-def _exact_point(rows, n, groups, chosen, fixed):
-    """The exact point whose groups solve the chosen rows, ``fixed`` giving the rest."""
+def _exact_point(rows, n, chosen, system, fixed):
+    """The exact point whose solved groups satisfy the chosen rows, ``fixed`` giving the rest."""
+    _, solved, inverse, den = system
     rhs = [rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items()) for r in chosen]
     scale = math.lcm(*(x.denominator for x in rhs))
-    nums, den = _solve_integer(_group_matrix(rows, groups, chosen), [int(x * scale) for x in rhs])
+    ints = [int(x * scale) for x in rhs]
     point = dict(fixed)
-    for g, x in zip(groups, nums):
-        point.update(dict.fromkeys(g, Fraction(x, den * scale)))
+    for g, row in zip(solved, inverse):
+        point.update(dict.fromkeys(g, Fraction(sum(a * b for a, b in zip(row, ints)), den * scale)))
     return [point[j] for j in range(n)]
 
 
@@ -293,28 +282,26 @@ class _VertexSearch:
         return self.grids[r]
 
     def candidates(self, groups, chosen, line):
-        """(constant assignments, float points): a pattern's vertices, or its line's split points.
+        """(system, constant assignments, float points): a pattern's vertices or line splits.
 
         An ill-conditioned system, or one whose inverse overflows, is solved
         exactly instead, for the assignments whose right-hand sides its
         groups can reach in [0, 1].
         """
-        split = _split(self.rows, groups, chosen, line)
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
         values = self.grid(len(fixed))
-        if split is None or not len(values):
+        system = _system(self.rows, groups, chosen, line) if len(values) else None
+        if system is None:
             return None
-        pivot, solved = split
+        pivot, solved, inverse, den = system
         k = len(chosen)
         # the shifted rows in float; their exact inverse bounds the float error
         a, b = self.a[list(chosen)], self.b[list(chosen)][:, None]
         rhs = b - a[:, fixed] @ values.T
-        matrix = _group_matrix(self.rows, solved, chosen)
-        cols = [_solve_integer(matrix, [int(i == j) for i in range(k)]) for j in range(k)]
         slack = 1e-15 * (np.abs(b) + np.abs(a).sum(axis=1)[:, None])
         try:
-            inv = np.array([[(x << self.shifts[r]) / den for x in nums]
-                            for (nums, den), r in zip(cols, chosen)]).reshape(k, k).T
+            inv = np.array([[(x << self.shifts[r]) / den for x, r in zip(row, chosen)]
+                            for row in inverse]).reshape(k, k)
         except OverflowError:  # an inverse beyond the float range is as ill-conditioned
             inv = np.full((k, k), np.inf)
         if (np.abs(inv) @ slack > 1e-12).any():
@@ -322,19 +309,19 @@ class _VertexSearch:
             low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack
             high = np.maximum(sums, 0.0).sum(axis=1)[:, None] + 1e6 * slack
             found = [(v, p) for v in values[((rhs >= low) & (rhs <= high)).all(axis=0)]
-                     for p in self.exact_points(groups, chosen, line, v)]
-            return (np.array([v for v, _ in found]).reshape(len(found), len(fixed)),
+                     for p in self.exact_points(groups, chosen, system, v)]
+            return (system, np.array([v for v, _ in found]).reshape(len(found), len(fixed)),
                     np.array([p for _, p in found], dtype=float).reshape(len(found), self.n))
         points = np.zeros((len(values), self.n))
         points[:, fixed] = values
         for g, t in zip(solved, inv @ rhs):
             points[:, g] = t[:, None]
         if not line:
-            return values, points
+            return system, values, points
         # the pivot runs from 0 in ``points`` along ``step``; U is linear in
         # between the parameters where a group meets a constant or another group
         base = dict.fromkeys(fixed, 0)
-        ends = [_exact_point(self.rows, self.n, solved, chosen, {**base, **dict.fromkeys(pivot, t)})
+        ends = [_exact_point(self.rows, self.n, chosen, system, {**base, **dict.fromkeys(pivot, t)})
                 for t in (0, 1)]
         step = np.array([float(y - x) for x, y in zip(*ends)])
         reps = [g[0] for g in groups]
@@ -345,7 +332,8 @@ class _VertexSearch:
         f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - _u_of_values(self.prior)
         row, i = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
         lo, hi, flo, fhi = cuts[row, i], cuts[row, i + 1], f[row, i], f[row, i + 1]
-        return values[row], points[row] + (lo + (hi - lo) * flo / (flo - fhi))[:, None] * step
+        roots = lo + (hi - lo) * flo / (flo - fhi)
+        return system, values[row], points[row] + roots[:, None] * step
 
     def feasible(self, points):
         ok = ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
@@ -361,14 +349,14 @@ class _VertexSearch:
         uj, up = _u_of_rows(np.maximum(points, self.prior)), _u_of_values(self.prior)
         return 2.0 * uj - uv - up if self.metric == "G" else uj - np.minimum(uv, up)
 
-    def exact_points(self, groups, chosen, line, fixed_values):
+    def exact_points(self, groups, chosen, system, fixed_values):
         """The exact points of one pattern and constant assignment, unchecked."""
-        pivot, solved = _split(self.rows, groups, chosen, line)
+        pivot = system[0]
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
         known = {j: Fraction(x) for j, x in zip(fixed, fixed_values.tolist())}
-        zero, one = (_exact_point(self.rows, self.n, solved, chosen,
+        zero, one = (_exact_point(self.rows, self.n, chosen, system,
                                   {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
-        if not line:
+        if not pivot:
             return [zero]
         # every coordinate is affine in the pivot's value t
         slope = [y - x for x, y in zip(zero, one)]
@@ -405,10 +393,10 @@ def _exact_minimizers(problem):
         for groups, chosen in _patterns(search.n, len(search.rows), line):
             found = search.candidates(groups, chosen, line)
             if found is not None:
-                values, points = found
+                system, values, points = found
                 ok = search.feasible(points)
                 if ok.any():
-                    batches.append(((groups, chosen, line), values[ok], search.score(points[ok])))
+                    batches.append(((groups, chosen, system), values[ok], search.score(points[ok])))
     scores = np.concatenate([np.empty(0)] + [b[2] for b in batches])
     refs = [(pattern, v) for pattern, values, _ in batches for v in values]
 
@@ -445,10 +433,7 @@ def solve_max_u(problem):
     count, optimal = _exact_minimizers(problem)
     if not optimal:
         _raise_infeasible(problem, "maximum-uncertainty selection")
-    values = [float(x) for x in optimal[0]]
-    if not _check_feasible(values, problem):
-        raise InfeasibleProblemError("internal error: solver produced an infeasible point")
-    dist = DiscreteDistribution(problem.labels, values)
+    dist = DiscreteDistribution(problem.labels, [float(x) for x in optimal[0]])
     certificate = {
         "method": "vertex enumeration",
         "vertices": count,

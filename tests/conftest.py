@@ -32,11 +32,11 @@ from possinfo import (
 )
 from possinfo.discrete import NORMALIZATION_TOL
 from possinfo.inference import (
+    _FEAS_TOL,
     _MIN_DIST_SIZE,
     InferenceSolution,
     MinDistance,
     _base_rows,
-    _check_feasible,
     _integer_rows,
     _position_weights,
     _raise_infeasible,
@@ -347,14 +347,14 @@ def _pin_vertices(n, rows, pin):
         tied = [pin] + [j for j, s in zip(others, states) if s == 1]
         for chosen in itertools.combinations(rows, len(free) + 1):
             matrix = [[sum(a[j] for j in tied)] + [a[j] for j in free] for a, _, _ in chosen]
-            sol = _solve_integer(matrix, [b for _, _, b in chosen])
+            sol = _solve_integer(matrix, [[b] for _, _, b in chosen])
             if sol is None:
                 continue
-            (t, *values), den = sol
+            ((t,), *values), den = sol
             point = [0] * n
             for j in tied:
                 point[j] = t
-            for j, x in zip(free, values):
+            for j, (x,) in zip(free, values):
                 point[j] = x
             if all(0 <= x <= t for x in point) and _satisfies(rows, point, den):
                 found.add(tuple(Fraction(x, den) for x in point))
@@ -555,6 +555,18 @@ def _l1_projection(n, rows, target):
     if res.status != "optimal":
         return None
     return tuple(float(x) for x in res.x[:n])
+
+
+def _check_feasible(values, problem):
+    for c in problem.constraints:
+        lhs = sum(a * v for a, v in zip(c.coefficients, values))
+        if c.relation == "<=" and lhs > c.bound + _FEAS_TOL:
+            return False
+        if c.relation == ">=" and lhs < c.bound - _FEAS_TOL:
+            return False
+        if c.relation == "=" and abs(lhs - c.bound) > _FEAS_TOL:
+            return False
+    return all(-_FEAS_TOL <= v <= 1.0 + _FEAS_TOL for v in values)
 
 
 def min_distance_by_descent(problem):

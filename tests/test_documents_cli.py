@@ -264,6 +264,20 @@ class TestCli:
             0.4 * math.log(2), abs=1e-12
         )
 
+    def test_infer_exactly_feasible_optimum_at_1e300_scale(self, docs, tmp_path):
+        prob = docs(
+            "prob.json",
+            {
+                "labels": ["a", "b"],
+                "constraints": [{"coefficients": [2e300, 1e300], "relation": "=",
+                                 "bound": 2e300 + 1e300 * 1 / 10}],
+                "objective": {"type": "max_u"},
+            },
+        )
+        out = tmp_path / "sol.json"
+        assert run_command(["infer", prob, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["values"] == [0.55, 1.0]
+
     def test_infer_infeasible_is_math_error(self, docs, tmp_path, capsys):
         prob = docs(
             "prob.json",

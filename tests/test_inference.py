@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from possinfo import (
     solve_min_distance,
     u_uncertainty,
 )
+from possinfo.inference import _solve_integer, _system
 from possinfo.simplex import feasible_point, solve_lp
 
 from conftest import (
@@ -89,6 +91,9 @@ EXTREME_ROWS = [
     (LinearConstraint((1e-300, 1.0), "<=", 1.0), (1.0, 1.0)),
     (LinearConstraint((1e-320, 1.0), "<=", 1.0), (1.0, 1.0)),
     (LinearConstraint((5e-324, 1.0), "<=", 0.5), (1.0, 0.5)),
+    # exactly feasible optima that a float recheck at 1e-7 absolute tolerance rejected
+    (LinearConstraint((2e300, 1e300), "=", 2e300 + 1e300 * 1 / 10), (0.55, 1.0)),
+    (LinearConstraint((3e300, 7e300), "=", 3e300 + 7e300 * 7 / 10), (1.0, 0.7000000000000001)),
 ]
 
 
@@ -126,6 +131,91 @@ def random_min_distance_problem(rng, metric, normalized):
     prior[rng.integers(n)] = 1.0
     return problem(labels, tuple(cons), MinDistance(DiscreteDistribution(labels, prior), metric),
                    normalized)
+
+
+def fraction_gauss(matrix, rhs):
+    """(det M, X with M X = B) by Gaussian elimination on Fractions; X is None when singular."""
+    k = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in b] for row, b in zip(matrix, rhs)]
+    det = Fraction(1)
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(m[r][c]))
+        if m[p][c] == 0:
+            return 0, None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(k):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return det, [row[k:] for row in m]
+
+
+def random_integer_system(gen, k):
+    """A k x k integer matrix, small or up to 2**70, singular about a quarter of the time."""
+    bound = 2 ** 70 if gen.random() < 0.3 else 5
+    matrix = [[gen.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+    if gen.random() < 0.25:
+        i, j = gen.randrange(k), gen.randrange(k)
+        a, b = gen.randint(-3, 3), gen.randint(-3, 3)
+        matrix[i] = [a * x + b * y for x, y in zip(matrix[j], matrix[(j + 1) % k])]
+        if i in (j, (j + 1) % k):
+            matrix[i] = [0] * k
+    return matrix
+
+
+class TestIntegerKernel:
+    """The shared fraction-free elimination against plain elimination on Fractions."""
+
+    def test_solve_integer_matches_fraction_elimination(self):
+        gen = random.Random(20261018)
+        singular = 0
+        for _ in range(400):
+            k, width = gen.randint(1, 6), gen.randint(0, 3)
+            matrix = random_integer_system(gen, k)
+            rhs = [[gen.randint(-2 ** 70, 2 ** 70) for _ in range(width)] for _ in range(k)]
+            det, solution = fraction_gauss(matrix, rhs)
+            got = _solve_integer([row[:] for row in matrix], rhs)
+            if det == 0:
+                assert got is None
+                singular += 1
+                continue
+            numerators, den = got
+            assert den == abs(det)
+            assert [[Fraction(x, den) for x in row] for row in numerators] == solution
+        assert 40 < singular < 200
+
+    def test_system_picks_the_first_largest_determinant(self):
+        gen = random.Random(7)
+        lines = 0
+        for _ in range(300):
+            n, line = gen.randint(1, 6), gen.random() < 0.6
+            groups = [[j] for j in range(n)]
+            while len(groups) > 1 and gen.random() < 0.3:  # merge two groups into a tie
+                g = groups.pop(gen.randrange(1, len(groups)))
+                groups[gen.randrange(len(groups))] += g
+            k = len(groups) - line
+            rows = [(a, "<=", 0) for a in random_integer_system(gen, n)[:k]]
+            chosen = tuple(range(k))
+            got = _system(rows, groups, chosen, line)
+            splits = ([(g, groups[:i] + groups[i + 1:]) for i, g in enumerate(groups)] if line
+                      else [([], groups)])
+            best = None
+            for pivot, solved in splits:
+                m = [[sum(a[j] for j in g) for g in solved] for a, _, _ in rows]
+                det, inverse = fraction_gauss(m, [[int(i == j) for j in range(k)] for i in range(k)])
+                if det and (best is None or abs(det) > best[2]):
+                    best = (pivot, solved, abs(det), inverse)
+            if best is None:
+                assert got is None
+                continue
+            pivot, solved, inverse, den = got
+            assert (pivot, solved, den) == best[:3]
+            assert [[Fraction(x, den) for x in row] for row in inverse] == best[3]
+            lines += line
+        assert lines > 100
 
 
 class TestConstraintValidation:
