@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 data or schema error,
 3 mathematical error (divergence, order violation, infeasibility).
 Errors print a single machine-parsable line ``error:<category>: <message>``
 on stderr.  Output for identical inputs is byte-identical across runs.
+
+The argument parser is built once, at import; ``run_command`` may be
+called any number of times in one process and reuses it, as argparse
+keeps no state on a parser between parses.
 """
 
 import argparse
@@ -75,6 +79,9 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read(path):
@@ -180,7 +187,7 @@ def _fail(category, message, code):
 def run_command(argv):
     """Run one CLI invocation; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _HANDLERS[args.command](args)
         return 0
     except _UsageError as e:

@@ -16,6 +16,8 @@ from .errors import SchemaError
 from .inference import InferenceProblem, LinearConstraint, MaxU, MinDistance
 from .measures import Tau
 
+_JSON_NUMBERS = (int, float)
+
 
 def _fmt_number(x):
     if isinstance(x, bool):
@@ -26,6 +28,22 @@ def _fmt_number(x):
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return format(x, ".17g")
+
+
+def _pair_rows(pairs, sep):
+    """``x<sep>v`` per (x, v) pair by ``_fmt_number``'s rules; the first bad number raises."""
+    rows = []
+    for x, v in pairs:
+        if type(x) is float and type(v) is float and math.isfinite(x) and math.isfinite(v):
+            rows.append(f"{x:.17g}{sep}{v:.17g}")
+        else:
+            rows.append(f"{_fmt_number(x)}{sep}{_fmt_number(v)}")
+    return rows
+
+
+def _points_json(pairs):
+    """The JSON array ``[[x, v], ...]`` of nonempty (x, v) pairs, as ``_emit_json`` writes it."""
+    return f"[[{'], ['.join(_pair_rows(pairs, ', '))}]]"
 
 
 def _emit_json(value):
@@ -79,13 +97,21 @@ def _number_list(raw, where):
 
 
 def _point_list(raw, where):
+    """Decoded JSON ``[[x, v], ...]`` as float pairs; the first malformed pair raises."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where} must be an array of [x, v] pairs")
     out = []
-    for i, pair in enumerate(raw):
+    for pair in raw:
+        # the exact types json.loads gives take the short path (bool is not int here)
+        if type(pair) is list and len(pair) == 2:
+            x, v = pair
+            if type(x) in _JSON_NUMBERS and type(v) in _JSON_NUMBERS:
+                out.append((float(x), float(v)))
+                continue
+        at = f"{where}[{len(out)}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}[{i}] must be a two-element array")
-        out.append(tuple(_number_list(pair, f"{where}[{i}]")))
+            raise SchemaError(f"{at} must be a two-element array")
+        out.append(tuple(_number_list(pair, at)))
     return out
 
 
@@ -95,7 +121,12 @@ def parse_distribution(text):
     Accepts kinds "discrete" and "piecewise_linear"; malformed documents
     raise ``SchemaError`` with a position or field diagnostic.
     """
-    doc = _expect_object(_load(text))
+    return _distribution(_load(text))
+
+
+def _distribution(doc):
+    """The value of a decoded distribution document."""
+    doc = _expect_object(doc)
     kind = _field(doc, "kind")
     try:
         if kind == "discrete":
@@ -157,7 +188,7 @@ def parse_problem(text):
     elif obj_type == "min_distance":
         metric = raw_obj.get("metric", "G")
         prior_doc = _field(raw_obj, "prior", "'objective'")
-        prior = parse_distribution(_emit_json(prior_doc))
+        prior = _distribution(prior_doc)
         if not isinstance(prior, DiscreteDistribution):
             raise SchemaError("'objective.prior' must be a discrete distribution")
         try:
@@ -178,23 +209,19 @@ def parse_problem(text):
 def serialize_distribution(obj, metadata=None):
     """Serialize a distribution (discrete or piecewise-linear) to its document."""
     if isinstance(obj, DiscreteDistribution):
-        doc = {
-            "kind": "discrete",
-            "labels": [str(l) for l in obj.labels],
-            "values": list(obj.values),
-        }
+        labels = _emit_json([str(l) for l in obj.labels])
+        body = f'"kind": "discrete", "labels": {labels}, "values": {_emit_json(list(obj.values))}'
     elif isinstance(obj, PiecewisePossibility):
-        doc = {"kind": "piecewise_linear", "points": [[x, v] for x, v in obj.points]}
+        body = f'"kind": "piecewise_linear", "points": {_points_json(obj.points)}'
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if metadata:
-        doc["metadata"] = dict(metadata)
-    return _emit_json(doc) + "\n"
+        body += f', "metadata": {_emit_json(dict(metadata))}'
+    return f"{{{body}}}\n"
 
 
 def serialize_tau(tau):
-    doc = {"kind": "tau", "points": [[t, v] for t, v in zip(tau.ts, tau.taus)]}
-    return _emit_json(doc) + "\n"
+    return f'{{"kind": "tau", "points": {_points_json(zip(tau.ts, tau.taus))}}}\n'
 
 
 def emit_csv(data, path):
@@ -206,7 +233,7 @@ def emit_csv(data, path):
         ]
     else:
         header = "x,v"
-        rows = [f"{_fmt_number(x)},{_fmt_number(v)}" for x, v in data]
+        rows = _pair_rows(data, ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join([header, *rows]))
         fh.write("\n")

@@ -200,9 +200,13 @@ def _partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def _patterns(n, m, line):
-    """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line."""
-    for size in range(line, n + 1):
+def _patterns(n, m, line, normalized):
+    """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line.
+
+    When normalized, some coordinate outside the groups must take the
+    constant 1, so patterns whose groups cover all n coordinates are skipped.
+    """
+    for size in range(line, n + (not normalized)):
         for free in itertools.combinations(range(n), size):
             for groups in _partitions(list(free)):
                 for chosen in itertools.combinations(range(m), len(groups) - line):
@@ -390,7 +394,7 @@ def _exact_minimizers(problem):
     search = _VertexSearch(problem)
     batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
     for line in (False, True) if search.metric == "K" else (False,):
-        for groups, chosen in _patterns(search.n, len(search.rows), line):
+        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized):
             found = search.candidates(groups, chosen, line)
             if found is not None:
                 system, values, points = found

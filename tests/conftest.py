@@ -10,8 +10,10 @@ the level measure and rearrangement by scalar per-piece loops where the
 library uses array passes, the maximum-U vertices by the former
 per-region enumeration and the minimum-distance posterior by the former
 multi-start coordinate descent where the library enumerates cell
-vertices exactly.  They exist so the main code paths can be checked
-against independently computed values.
+vertices exactly, and the [x, v] pairs of a document by the former
+per-pair reader where the library checks them in one pass.  They exist
+so the main code paths can be checked against independently computed
+values.
 """
 
 import itertools
@@ -27,10 +29,12 @@ from possinfo import (
     InfeasibleProblemError,
     LevelMeasure,
     PiecewisePossibility,
+    SchemaError,
     big_g,
     big_k,
 )
 from possinfo.discrete import NORMALIZATION_TOL
+from possinfo.documents import _number_list
 from possinfo.inference import (
     _FEAS_TOL,
     _MIN_DIST_SIZE,
@@ -642,6 +646,18 @@ def min_distance_by_descent(problem):
         "tied_optima": [tuple(p) for p in tied],
     }
     return InferenceSolution(dist, value, certificate)
+
+
+def point_list_by_pairs(raw, where):
+    """Decoded [x, v] pairs read one by one, each through the number-list reader."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where} must be an array of [x, v] pairs")
+    out = []
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{where}[{i}] must be a two-element array")
+        out.append(tuple(_number_list(pair, f"{where}[{i}]")))
+    return out
 
 
 def random_normalized_values(rng, n, grid=None):

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from conftest import point_list_by_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import possinfo
 from possinfo import (
     ConvergenceSeries,
     DiscreteDistribution,
@@ -12,13 +18,16 @@ from possinfo import (
     MinDistance,
     PiecewisePossibility,
     SchemaError,
+    Tau,
     emit_csv,
     parse_distribution,
     parse_problem,
     parse_tau,
     serialize_distribution,
+    serialize_tau,
 )
 from possinfo.cli import run_command
+from possinfo.documents import _emit_json, _fmt_number, _point_list
 
 
 class TestParseDistribution:
@@ -124,6 +133,23 @@ class TestParseTauAndProblem:
         with pytest.raises(SchemaError, match=r"constraints\[0\]"):
             parse_problem(text)
 
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_non_finite_prior_gets_the_document_diagnostic(self, bad, shown):
+        prior = {"kind": "discrete", "labels": ["a", "b"], "values": [1, bad]}
+        text = json.dumps(
+            {
+                "labels": ["a", "b"],
+                "constraints": [],
+                "objective": {"type": "min_distance", "metric": "G", "prior": prior},
+            }
+        )
+        message = f"value at index 1 outside [0, 1]: {shown}"
+        with pytest.raises(SchemaError) as as_prior:
+            parse_problem(text)
+        with pytest.raises(SchemaError) as as_document:
+            parse_distribution(json.dumps(prior))
+        assert str(as_prior.value) == str(as_document.value) == message
+
 
 class TestEmitCsv:
     def test_series_four_lines(self, tmp_path):
@@ -149,6 +175,93 @@ class TestEmitCsv:
         path = tmp_path / "empty.csv"
         emit_csv(ConvergenceSeries([]), path)
         assert path.read_text() == "n,u,approx_info\n"
+
+
+ADVERSARIAL = [-0.0, 5e-324, 0.1, 0.0, 1.0, 0.5, 0.30000000000000004, 1 - 2**-53]
+
+
+def _generic_points_document(kind, pairs, metadata=None):
+    """A point document through the generic writer ``_emit_json``."""
+    doc = {"kind": kind, "points": [[x, v] for x, v in pairs]}
+    if metadata:
+        doc["metadata"] = metadata
+    return _emit_json(doc) + "\n"
+
+
+def _generic_csv_rows(pairs):
+    return "".join(f"{_fmt_number(x)},{_fmt_number(v)}\n" for x, v in pairs)
+
+
+def _raised(fn, *args):
+    """(exception type, message) of the call, or None if it returns."""
+    try:
+        fn(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestPointDocuments:
+    """The one-pass point writer and reader against the generic per-number paths."""
+
+    @pytest.mark.parametrize("v", ADVERSARIAL)
+    def test_piecewise_bytes_match_generic_writer(self, v):
+        f = PiecewisePossibility([(-0.0, 1.0), (5e-324, v), (0.1, 1 - 2**-53), (1.0, 0.0)])
+        assert serialize_distribution(f) == _generic_points_document("piecewise_linear", f.points)
+        meta = {"objective": "x", "objective_value": v}
+        assert serialize_distribution(f, metadata=meta) == _generic_points_document(
+            "piecewise_linear", f.points, meta
+        )
+
+    def test_tau_bytes_match_generic_writer(self):
+        tau = Tau([(0.0, 0.0), (5e-324, 5e-324), (0.1, 0.30000000000000004), (1.0, 1.0)])
+        assert serialize_tau(tau) == _generic_points_document("tau", zip(tau.ts, tau.taus))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(x, v) for x in ADVERSARIAL for v in ADVERSARIAL],
+            [(1.7976931348623157e308, -1.7976931348623157e308), (-5e-324, 2.0), (1e22, 1e-7)],
+            [(0, 1), (3, 10**20), (-7, 0.5), (0.25, 2)],
+        ],
+    )
+    def test_csv_bytes_match_generic_writer(self, tmp_path, pairs):
+        path = tmp_path / "curve.csv"
+        emit_csv(pairs, path)
+        assert path.read_bytes() == ("x,v\n" + _generic_csv_rows(pairs)).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False])
+    @pytest.mark.parametrize("in_x", [True, False])
+    def test_csv_errors_match_generic_writer(self, tmp_path, bad, in_x):
+        # the first bad number raises, although a NaN follows it
+        pairs = [(0.0, 1.0), (bad, 0.5) if in_x else (0.25, bad), (0.5, math.nan)]
+        path = tmp_path / "curve.csv"
+        expected = _raised(_generic_csv_rows, pairs)
+        assert expected is not None and _raised(emit_csv, pairs, path) == expected
+        assert not path.exists()
+
+    @pytest.mark.parametrize("item", ["true", '"0.5"', "null", "[1]", "[1, 2, 3]", "{}", "0.5",
+                                      "[0.5, false]", "[[0.5], 1]"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_reader_raises_like_per_pair_reader(self, item, at):
+        points = ["[0, 1]", "[0.5, 0.5]", "[1, 0]"]
+        points[at] = item
+        points = ", ".join(points)
+        expected = None
+        try:
+            point_list_by_pairs(json.loads(f"[{points}]"), "'points'")
+        except SchemaError as e:
+            expected = str(e)
+        assert expected is not None and f"'points'[{at}]" in expected
+        for parse, kind in ((parse_distribution, "piecewise_linear"), (parse_tau, "tau")):
+            with pytest.raises(SchemaError) as err:
+                parse(f'{{"kind": "{kind}", "points": [{points}]}}')
+            assert str(err.value) == expected
+
+    def test_reader_values_match_per_pair_reader(self):
+        raw = [[0, 1], [-0.0, 5e-324], [0.1, 1], [10**20, 0.30000000000000004], [1, 0.0]]
+        got, expected = _point_list(raw, "p"), point_list_by_pairs(raw, "p")
+        assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in expected]
 
 
 @pytest.fixture
@@ -334,3 +447,85 @@ class TestCli:
         first = capsys.readouterr().out
         run_command(["uncertainty", path])
         assert capsys.readouterr().out == first
+
+
+def _fresh(argv, cwd):
+    """(exit code, stdout, stderr) bytes of one command in a new interpreter, warnings as errors."""
+    src = str(Path(possinfo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "possinfo.cli", *argv],
+                          capture_output=True, cwd=cwd, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _here(argv, capsys):
+    """(exit code, stdout, stderr) bytes of one ``run_command`` call in this process."""
+    code = run_command(argv)
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+class TestParserReuse:
+    """``run_command`` reuses one parser: a command's output never depends on the one before."""
+
+    @pytest.fixture
+    def files(self, docs):
+        return {
+            "four": docs("four.json", {"kind": "discrete", "labels": list("abcd"), "values": [1, 1, 1, 1]}),
+            "d1": docs("d1.json", {"kind": "discrete", "labels": list("xyz"), "values": [1, 0.5, 0]}),
+            "d2": docs("d2.json", {"kind": "discrete", "labels": list("xyz"), "values": [1, 1, 0.5]}),
+            "c1": docs("c1.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]}),
+            "c2": docs("c2.json", {"kind": "piecewise_linear", "points": [[0, 1], [0.5, 1], [1, 0]]}),
+        }
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["uncertainty", "four", "--bits"], ["uncertainty", "four"]),
+            (["uncertainty"], ["uncertainty", "four"]),
+            (["--help"], ["uncertainty", "four"]),
+            (["distance", "c1", "c2", "--metric", "G", "--continuous"],
+             ["distance", "d1", "d2", "--metric", "G"]),
+        ],
+        ids=["bits-then-nats", "usage-then-valid", "help-then-valid", "continuous-then-discrete"],
+    )
+    def test_second_command_matches_a_fresh_interpreter(self, files, tmp_path, capsys,
+                                                        monkeypatch, first, second):
+        monkeypatch.setenv("COLUMNS", "80")
+        first, second = ([files.get(a, a) for a in argv] for argv in (first, second))
+        here = [_here(first, capsys), _here(second, capsys)]
+        assert here == [_fresh(first, tmp_path), _fresh(second, tmp_path)]
+        assert here[1][0] == 0
+        if first[0] == "--help":
+            assert here[0][0] == 0 and here[0][1].startswith(b"usage: possinfo")
+        if second[0] == "uncertainty":
+            assert here[1][1] == b"1.386294\n"
+
+
+class TestSubprocessSmoke:
+    """``python -m possinfo.cli`` gives the bytes and exit codes of in-process ``run_command``."""
+
+    def test_commands_match_in_process(self, docs, tmp_path, capsys):
+        lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [0.3, 0.7], [1, 0]]})
+        tent = docs("tent.json", {"kind": "piecewise_linear", "points": [[0, 0], [0.5, 1], [1, 0.25]]})
+        bad = docs("bad.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 1.5]})
+        sub = docs("sub.json", {"kind": "piecewise_linear", "points": [[0, 0.5], [1, 0.2]]})
+        cases = [  # argv with "OUT" for the written file, exit code, stderr line class
+            (["info", lin], 0, None, None),
+            (["rearrange", tent, "--out", "OUT"], 0, None, "r.json"),
+            (["approx", lin, "--n", "10,100,1000", "--csv", "OUT"], 0, None, "a.csv"),
+            (["uncertainty", bad], 2, b"error:data: ", None),
+            (["info", sub], 3, b"error:math: ", None),
+        ]
+        for argv, code, category, out_name in cases:
+            outs = [tmp_path / f"{side}-{out_name}" for side in ("here", "fresh")] if out_name else []
+            here = _here([str(outs[0]) if a == "OUT" else a for a in argv], capsys)
+            fresh = _fresh([str(outs[1]) if a == "OUT" else a for a in argv], tmp_path)
+            assert here == fresh and here[0] == code
+            if category:
+                assert here[1] == b"" and here[2].startswith(category) and here[2].count(b"\n") == 1
+            else:
+                assert here[2] == b""
+            if out_name:
+                assert outs[0].read_bytes() == outs[1].read_bytes() != b""
