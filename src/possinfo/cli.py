@@ -89,17 +89,10 @@ def _read(path):
         return fh.read()
 
 
-def _load_discrete(path):
+def _load(path, cls, kind):
     obj = documents.parse_distribution(_read(path))
-    if not isinstance(obj, DiscreteDistribution):
-        raise SchemaError(f"{path}: expected a discrete distribution document")
-    return obj
-
-
-def _load_piecewise(path):
-    obj = documents.parse_distribution(_read(path))
-    if not isinstance(obj, PiecewisePossibility):
-        raise SchemaError(f"{path}: expected a piecewise_linear distribution document")
+    if not isinstance(obj, cls):
+        raise SchemaError(f"{path}: expected a {kind} distribution document")
     return obj
 
 
@@ -110,7 +103,7 @@ def _print_value(value, bits=False):
 
 
 def _cmd_uncertainty(args):
-    d = _load_discrete(args.file)
+    d = _load(args.file, DiscreteDistribution, "discrete")
     if args.tau:
         value = info_tau(d, documents.parse_tau(_read(args.tau)))
     else:
@@ -119,32 +112,28 @@ def _cmd_uncertainty(args):
 
 
 def _cmd_info(args):
-    _print_value(info(_load_piecewise(args.file)), args.bits)
+    _print_value(info(_load(args.file, PiecewisePossibility, "piecewise_linear")), args.bits)
 
 
 def _cmd_distance(args):
     if args.continuous:
-        f1 = _load_piecewise(args.file1)
-        f2 = _load_piecewise(args.file2)
+        cls, kind = PiecewisePossibility, "piecewise_linear"
         fn = {"g": g_cont, "G": big_g_cont, "H": big_h_cont, "K": big_k_cont}[args.metric]
-        value = fn(f1, f2)
     else:
-        d1 = _load_discrete(args.file1)
-        d2 = _load_discrete(args.file2)
+        cls, kind = DiscreteDistribution, "discrete"
         fn = {"g": g_distance, "G": big_g, "H": big_h, "K": big_k}[args.metric]
-        value = fn(d1, d2)
-    _print_value(value)
+    _print_value(fn(_load(args.file1, cls, kind), _load(args.file2, cls, kind)))
 
 
 def _cmd_rearrange(args):
-    f = _load_piecewise(args.file)
+    f = _load(args.file, PiecewisePossibility, "piecewise_linear")
     text = documents.serialize_distribution(rearrange(level_measure(f)))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
 def _cmd_approx(args):
-    f = _load_piecewise(args.file)
+    f = _load(args.file, PiecewisePossibility, "piecewise_linear")
     try:
         n_list = [int(part) for part in args.n.split(",") if part.strip()]
     except ValueError:
@@ -196,9 +185,7 @@ def run_command(argv):
         return int(e.code or 0)
     except (DivergenceError, OrderViolationError, InfeasibleProblemError) as e:
         return _fail("math", str(e), 3)
-    except SchemaError as e:
-        return _fail("data", str(e), 2)
-    except ValueError as e:
+    except ValueError as e:  # SchemaError among them
         return _fail("data", str(e), 2)
     except OSError as e:
         return _fail("io", str(e), 2)

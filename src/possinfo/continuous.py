@@ -216,10 +216,6 @@ class LevelMeasure:
     def __repr__(self):
         return f"LevelMeasure({len(self._c)} pieces, total={self.total:g})"
 
-    @property
-    def degree(self):
-        return 2 if self._c[:, 2].any() else int(self._c[:, 1].any())
-
     def piece_value(self, k, y):
         return float(_eval(self._c[k], y - self._b[k + 1]))
 

@@ -66,9 +66,15 @@ def _emit_json(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _json_int(literal):
+    # an integer past the float range decodes as +-inf, as the literal 1e400 does
+    x = float(literal)
+    return x if math.isinf(x) else int(literal)
+
+
 def _load(text):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid document at line {e.lineno}, column {e.colno}: {e.msg}") from None
 

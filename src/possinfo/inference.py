@@ -11,7 +11,8 @@ the feasible polytope (for K also the edge points where U(v) = U(prior)),
 scores them in floats and rescores the best exactly in rationals.  Each
 tie pattern's integer system is eliminated once: its determinant and
 den * M^-1 serve the float pass, the exact points and a K line's
-direction.  ``brute_force_oracle``, a grid scan, checks both in the tests.
+direction.  Max-U takes only the patterns with at most one tie group (see
+``solve_max_u``).  ``brute_force_oracle``, a grid scan, checks both in the tests.
 """
 
 import itertools
@@ -23,10 +24,9 @@ import numpy as np
 
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
-from .measures import _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
-from .simplex import feasible_point
+from .measures import _log_weights, _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
+from .simplex import _RELS, feasible_point
 
-_RELS = ("<=", ">=", "=")
 _MAX_U_SIZE = 8
 _MIN_DIST_SIZE = 6
 _ORACLE_SIZE = 4
@@ -135,12 +135,9 @@ def _raise_infeasible(problem, context):
 
 
 def _position_weights(n):
-    # weight of the k-th largest value in U, as exact rationals of the
-    # float logarithms: 0, ln 2, ln 3 - ln 2, ...
-    out = [Fraction(0)]
-    for k in range(2, n + 1):
-        out.append(Fraction(math.log(k) - math.log(k - 1)))
-    return out
+    # weight of the k-th largest value in U: 0, then the exact rationals of
+    # the float weights U is scored with
+    return [Fraction(0), *map(Fraction, _log_weights(n).tolist())]
 
 
 def _integer_rows(problem):
@@ -200,15 +197,18 @@ def _partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def _patterns(n, m, line, normalized):
+def _patterns(n, m, line, normalized, ties=None):
     """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line.
 
     When normalized, some coordinate outside the groups must take the
     constant 1, so patterns whose groups cover all n coordinates are skipped.
+    ``ties``, when given, caps the groups of two or more coordinates.
     """
     for size in range(line, n + (not normalized)):
         for free in itertools.combinations(range(n), size):
             for groups in _partitions(list(free)):
+                if ties is not None and sum(len(g) > 1 for g in groups) > ties:
+                    continue
                 for chosen in itertools.combinations(range(m), len(groups) - line):
                     yield groups, chosen
 
@@ -358,12 +358,13 @@ class _VertexSearch:
         pivot = system[0]
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
         known = {j: Fraction(x) for j, x in zip(fixed, fixed_values.tolist())}
-        zero, one = (_exact_point(self.rows, self.n, chosen, system,
-                                  {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
-        if not pivot:
+        ends = (_exact_point(self.rows, self.n, chosen, system,
+                             {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
+        zero = next(ends)
+        if not pivot:  # a vertex pattern: no line to follow
             return [zero]
         # every coordinate is affine in the pivot's value t
-        slope = [y - x for x, y in zip(zero, one)]
+        slope = [y - x for x, y in zip(zero, next(ends))]
         cuts = {(c - x) / s for x, s in zip(zero, slope) if s
                 for c in map(Fraction, self.consts.tolist())}
         cuts.update((x2 - x1) / (s1 - s2) for (x1, s1), (x2, s2)
@@ -392,9 +393,11 @@ def _exact_minimizers(problem):
     and scored exactly with the rational images of the float weights.
     """
     search = _VertexSearch(problem)
+    # -U is concave where one coordinate is the largest: see solve_max_u
+    ties = int(not search.normalized) if search.metric is None else None
     batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
     for line in (False, True) if search.metric == "K" else (False,):
-        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized):
+        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
             found = search.candidates(groups, chosen, line)
             if found is not None:
                 system, values, points = found
@@ -419,15 +422,18 @@ def _exact_minimizers(problem):
 
 
 def solve_max_u(problem):
-    """Feasible assignment of maximal U-uncertainty, by exact cell-vertex enumeration.
+    """Feasible assignment of maximal U-uncertainty, by exact vertex enumeration.
 
-    U = sum_k w_k * v_(k), with v_(k) the k-th largest value and weights
-    w_k = ln k - ln(k-1), is linear on every cell cut out by v_a = v_b,
-    v_a = 0 and v_a = 1.  So its maximum sits at a vertex of such a cell in
-    the feasible polytope, and as U's argmax on a cell is a face, so does
-    the lexicographically largest maximizer, which breaks ties.  The
-    search and the certificate's ``vertices`` are those of
-    ``solve_min_distance``, with the constants 0 and 1 only.
+    U = sum_k w_k * v_(k), with v_(k) the k-th largest value, w_1 = 0 and
+    w_k = ln k - ln(k-1), is also sum_k (w_k - w_{k+1}) * S_k(v), with S_k
+    the sum of the k largest values (convex, Ky Fan) and w_{n+1} = 0.  All
+    coefficients but the first, -ln 2, are positive, so U = convex - ln 2 *
+    max(v) is convex where one coordinate v_i is the largest.  Its maximizers
+    there form a union of faces, so the maximum and the lexicographically
+    largest maximizer sit at a vertex of such a piece, which ties coordinates
+    only with v_i.  The search of ``solve_min_distance``, with the constants
+    0 and 1, thus takes the patterns with at most one tie group, and none
+    when normalized (then max(v) = 1); ``vertices`` counts their candidates.
     """
     if not isinstance(problem.objective, MaxU):
         raise ValueError("solve_max_u requires a MaxU objective")

@@ -58,6 +58,46 @@ class TestParseDistribution:
             parse_distribution('{"kind":"histogram","values":[1]}')
 
 
+class TestIntegerLiterals:
+    """An integer literal past the float range decodes as +-inf, as 1e400 does."""
+
+    # 400 digits, and 5000: past the float range and past int's string limit
+    @pytest.fixture(params=["1" + "0" * 400, "-" + "9" * 5000])
+    def huge(self, request):
+        return request.param
+
+    def test_discrete_value(self, huge):
+        sign = "-" if huge[0] == "-" else ""
+        with pytest.raises(SchemaError, match=rf"^value at index 1 outside \[0, 1\]: {sign}inf$"):
+            parse_distribution('{"kind":"discrete","labels":["a","b"],"values":[1,%s]}' % huge)
+
+    def test_point(self, huge):
+        sign = "-" if huge[0] == "-" else ""
+        with pytest.raises(SchemaError, match=rf"^value at breakpoint 1 outside \[0, 1\]: {sign}inf$"):
+            parse_distribution('{"kind":"piecewise_linear","points":[[0,1],[1,%s]]}' % huge)
+
+    @pytest.mark.parametrize("where", ["coefficients", "bound"])
+    def test_constraint_coefficient_and_bound(self, huge, where):
+        row = {"coefficients": "[1, 0]", "bound": "0.5"}
+        row[where] = f"[1, {huge}]" if where == "coefficients" else huge
+        text = ('{"labels": ["a", "b"], "objective": {"type": "max_u"}, "constraints": '
+                '[{"coefficients": %s, "relation": "<=", "bound": %s}]}'
+                % (row["coefficients"], row["bound"]))
+        with pytest.raises(SchemaError, match=r"^constraints\[0\]: coefficients and bound must be finite$"):
+            parse_problem(text)
+
+    def test_in_range_integers_decode_as_before(self):
+        d = parse_distribution('{"kind":"discrete","labels":["a","b"],"values":[1,-0]}')
+        assert d.values == (1.0, 0.0) and math.copysign(1.0, d.values[1]) == 1.0
+        # 2**1024 - 2**970 is the first integer that rounds past the largest float
+        edge = 2**1024 - 2**970
+        text = ('{"labels": ["a"], "objective": {"type": "max_u"}, "constraints": '
+                '[{"coefficients": [1], "relation": "<=", "bound": %d}]}')
+        assert parse_problem(text % (edge - 1)).constraints[0].bound == sys.float_info.max
+        with pytest.raises(SchemaError, match="must be finite"):
+            parse_problem(text % edge)
+
+
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -439,7 +479,21 @@ class TestCli:
 
     def test_wrong_kind_is_exit_two(self, docs, capsys):
         lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
+        two = docs("two.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]})
         assert run_command(["uncertainty", lin]) == 2
+        assert capsys.readouterr().err == f"error:data: {lin}: expected a discrete distribution document\n"
+        assert run_command(["info", two]) == 2
+        assert capsys.readouterr().err == (
+            f"error:data: {two}: expected a piecewise_linear distribution document\n"
+        )
+
+    def test_integer_past_the_float_range_is_a_data_error(self, docs, tmp_path, capsys):
+        path = docs("big.json", '{"kind": "discrete", "labels": ["a", "b"], "values": [1, 1%s]}'
+                    % ("0" * 400))
+        assert run_command(["uncertainty", path]) == 2
+        line = "error:data: value at index 1 outside [0, 1]: inf\n"
+        assert capsys.readouterr() == ("", line)
+        assert _fresh(["uncertainty", path], tmp_path) == (2, b"", line.encode())
 
     def test_byte_identical_across_runs(self, docs, capsys):
         path = docs("d.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.25]})

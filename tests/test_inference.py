@@ -21,7 +21,8 @@ from possinfo import (
     solve_min_distance,
     u_uncertainty,
 )
-from possinfo.inference import _solve_integer, _system
+from possinfo.inference import _position_weights, _solve_integer, _system
+from possinfo.measures import _log_weights
 from possinfo.simplex import feasible_point, solve_lp
 
 from conftest import (
@@ -262,6 +263,20 @@ class TestSolveMaxU:
         assert sol.distribution.values == (1.0, 0.5)
         assert sol.objective_value == pytest.approx(0.5 * LN2, abs=1e-12)
         assert set(sol.certificate["candidates"]) == {(1.0, 0.5), (0.5, 1.0)}
+
+    def test_position_weights_are_the_scoring_weights_exactly(self):
+        for n in range(1, 65):
+            weights = _position_weights(n)
+            assert weights[0] == 0
+            assert weights[1:] == [Fraction(w) for w in _log_weights(n).tolist()]
+
+    def test_unnormalized_optimum_needs_its_one_tie_group(self):
+        # (0.5, 0.5) ties both coordinates on the row; without that group
+        # only the 0/1 vertices remain and (1, 0) with U = 0 would win
+        sol = solve_max_u(problem(("a", "b"), (LinearConstraint((1, 1), "<=", 1.0),),
+                                  normalized=False))
+        assert sol.distribution.values == (0.5, 0.5)
+        assert sol.objective_value == pytest.approx(0.5 * LN2, abs=1e-15)
 
     def test_certificate_counts_vertices(self):
         # every 0/1 vector with a 1 somewhere; only the all-ones one is optimal
