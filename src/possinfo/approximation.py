@@ -68,16 +68,14 @@ def _sample(f, n, grid):
         raise ValueError("need at least one sample")
     if grid not in _GRIDS:
         raise ValueError(f"grid must be one of {_GRIDS}")
-    if grid == "left":
-        xs = np.arange(n) / n
-    else:
-        xs = np.arange(1, n + 1) / n
+    start = 0.0 if grid == "left" else 1.0
+    xs = np.arange(start, n + start)  # the integers are exact, so this is np.arange(n) / n
+    xs /= n
     values = np.asarray(f(xs), dtype=float)
     if values.shape != xs.shape:
         raise ValueError(f"f must return {n} values, one per grid point, got shape {values.shape}")
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+        i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
         raise ValueError(f"value at index {i} outside [0, 1]: {float(values[i])!r}")
     return values
 

@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data or schema error,
-3 mathematical error (divergence, order violation, infeasibility).
+Exit codes: 0 success, 1 usage error, 2 data or schema error (an input
+too large to hold among them), 3 mathematical error (divergence, order
+violation, infeasibility).
 Errors print a single machine-parsable line ``error:<category>: <message>``
 on stderr.  Output for identical inputs is byte-identical across runs.
 
@@ -187,6 +188,8 @@ def run_command(argv):
         return _fail("math", str(e), 3)
     except ValueError as e:  # SchemaError among them
         return _fail("data", str(e), 2)
+    except MemoryError as e:  # an input too large to hold, such as approx --n 10**16
+        return _fail("data", str(e) or "out of memory", 2)
     except OSError as e:
         return _fail("io", str(e), 2)
 

@@ -38,20 +38,28 @@ def _values_of(d):
     raise TypeError(f"expected a distribution, got {type(d).__name__}")
 
 
+_WEIGHTS = np.empty(0)
+
+
 def _log_weights(n):
-    # (ln 2 - ln 1, ln 3 - ln 2, ..., ln n - ln(n-1)); empty for n = 1
-    return np.diff(np.log(np.arange(1, n + 1)))
-
-
-# kept for rows of up to 64 values: the solvers score millions of short rows
-_SHORT_LOG_WEIGHTS = [_log_weights(n) for n in range(65)]
+    # (ln 2 - ln 1, ..., ln n - ln(n-1)) as a read-only view; empty for n <= 1.
+    # The weights are elementwise, so those for n are a bit-for-bit prefix of
+    # those for any larger n and one table serves every n.  It is rebuilt to
+    # fit the largest n asked for (at least 64 weights) and never shrinks: it
+    # holds 8 bytes per value of the largest sample for the life of the
+    # process, 8 MB after n = 10**6.
+    global _WEIGHTS
+    if n - 1 > _WEIGHTS.size:
+        logs = np.arange(1.0, max(n, 65) + 1.0)
+        _WEIGHTS = np.diff(np.log(logs, out=logs))
+        _WEIGHTS.flags.writeable = False
+    return _WEIGHTS[: max(n - 1, 0)]
 
 
 def _u_of_rows(values):
     """U of each row (last axis); a row and the same values alone agree bit for bit."""
     p = np.sort(values, axis=-1)[..., ::-1]
-    n = p.shape[-1]  # the empty product gives 0.0 for one value
-    return p[..., 1:] @ (_SHORT_LOG_WEIGHTS[n] if n <= 64 else _log_weights(n))
+    return p[..., 1:] @ _log_weights(p.shape[-1])  # the empty product gives 0.0 for one value
 
 
 def _u_of_values(values):

@@ -120,14 +120,18 @@ class TestConvergenceSeries:
         assert series.entries[0].u_value == pytest.approx(math.log(24) / 4, abs=1e-12)
 
 
-class _OneValueTooHigh:
-    """Duck-typed normalized f that returns 1 + 2**-52 at one grid point."""
+class _OneValueAt:
+    """Duck-typed normalized f: 1 at index 0, ``value`` at ``index``, ``fill`` elsewhere."""
 
     is_normalized = True
 
+    def __init__(self, index, value, fill=1.0):
+        self.index, self.value, self.fill = index, value, fill
+
     def __call__(self, xs):
-        values = np.ones_like(xs)
-        values[len(values) // 2] = 1.0 + 2.0**-52
+        values = np.full_like(xs, self.fill)
+        values[0] = 1.0
+        values[self.index] = self.value
         return values
 
 
@@ -185,16 +189,33 @@ class TestArraySampling:
         assert [e.approx_info for e in series] == [approx_info(RAMP_DOWN, n) for n in (10, 100)]
 
     def test_out_of_range_sample_rejected_on_every_path(self):
-        f = _OneValueTooHigh()
-        message = "value at index 5 outside [0, 1]: 1.0000000000000002"
-        for call in (
-            lambda: approx_info(f, 10),
-            lambda: convergence_series(f, (10, 20)),
-            lambda: discretize(f, 10),
-        ):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == message
+        # the first bad index is named on either grid; NaN fails every
+        # comparison and -5e-324 is the negative float nearest 0
+        cases = [
+            (5, 1.0 + 2.0**-52, "value at index 5 outside [0, 1]: 1.0000000000000002"),
+            (9, math.nan, "value at index 9 outside [0, 1]: nan"),
+            (4, -5e-324, "value at index 4 outside [0, 1]: -5e-324"),
+        ]
+        for index, value, message in cases:
+            f = _OneValueAt(index, value)
+            for grid in ("left", "right"):
+                for call in (
+                    lambda: approx_info(f, 10, grid),
+                    lambda: convergence_series(f, (10, 20), grid),
+                    lambda: discretize(f, 10, grid),
+                ):
+                    with pytest.raises(ValueError) as err:
+                        call()
+                    assert str(err.value) == message
+
+    def test_negative_zero_samples_accepted_on_every_path(self):
+        f = _OneValueAt(3, -0.0, fill=-0.0)
+        for grid in ("left", "right"):
+            assert approx_info(f, 10, grid) == math.log(10)
+            series = convergence_series(f, (10, 20), grid)
+            assert [e.approx_info for e in series] == [math.log(10), math.log(20)]
+            assert discretize(f, 10, grid).as_array().tobytes() == np.array(
+                [1.0] + [-0.0] * 9).tobytes()
 
     def test_nan_sample_rejected(self):
         class NanAt0:
@@ -215,6 +236,26 @@ class TestArraySampling:
 
         with pytest.raises(ValueError, match="one per grid point"):
             approx_info(Scalar(), 3)
+
+
+class TestPinnedBits:
+    """float.hex of ln n - U at 10**5 and 10**6 samples.
+
+    The sample grid, the range check, the weight table and the U sum must
+    keep every bit; a change that moves one fails here.
+    """
+
+    CUBE = sample_function(lambda x: x * x * x, 101)
+    TENT = PiecewisePossibility([(0, 0), (0.3, 1), (1, 0)])
+
+    def test_approx_info(self):
+        assert approx_info(RAMP_DOWN, 10**5).hex() == "0x1.fff7401b53790p-1"
+        assert approx_info(self.CUBE, 10**5, grid="right").hex() == "0x1.d5342b0ec1a18p+0"
+
+    def test_convergence_series_entry(self):
+        entry = convergence_series(self.TENT, (10**3, 10**4, 10**6)).entries[-1]
+        assert entry.u_value.hex() == "0x1.9a18ab7192484p+3"
+        assert entry.approx_info.hex() == "0x1.ffffe276db1c0p-1"
 
 
 class TestConvergenceRate:

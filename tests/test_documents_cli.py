@@ -399,6 +399,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:data:")
         assert not out.exists()
 
+    def test_approx_too_large_to_hold_is_data_error(self, docs, tmp_path, capsys):
+        # 10**16 float samples are 71 PiB, past any x86-64 address space
+        lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
+        out = tmp_path / "series.csv"
+        assert run_command(["approx", lin, "--n", "10000000000000000", "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:data: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_infer_writes_solution(self, docs, tmp_path, capsys):
         prob = docs(
             "prob.json",

@@ -22,7 +22,7 @@ from possinfo import (
     permute,
     u_uncertainty,
 )
-from possinfo.measures import _u_of_rows
+from possinfo.measures import _log_weights, _u_of_rows
 
 from conftest import (
     random_distribution,
@@ -65,6 +65,23 @@ class TestUUncertainty:
             rows[:, int(rng.integers(n))] = 1.0
             single = [u_uncertainty(D(*r)) for r in rows]
             assert _u_of_rows(rows).tobytes() == np.array(single).tobytes()
+
+    def test_weight_table_is_a_bitwise_prefix_for_every_n(self):
+        # one table grown to the largest n serves every smaller n bit for bit
+        big = _log_weights(2**20)
+        assert big.size == 2**20 - 1
+        rng = np.random.default_rng(20261018)
+        ks = [0, 1, *range(2, 4097), *rng.integers(4097, 2**20 + 1, 50).tolist()]
+        for k in ks:
+            expected = np.diff(np.log(np.arange(1, k + 1)))
+            assert _log_weights(k).tobytes() == expected.tobytes()
+        assert _log_weights(0).size == _log_weights(1).size == 0
+        # asking for a smaller n later never shrinks the table
+        _log_weights(3)
+        assert np.shares_memory(_log_weights(2**20), big)
+        assert not _log_weights(10).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            _log_weights(10)[0] = 0.0
 
     def test_matches_level_count_integral(self, rng):
         for _ in range(300):
