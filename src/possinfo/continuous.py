@@ -180,11 +180,14 @@ class LevelMeasure:
             raise ValueError("pieces must cover exactly [0, 1]")
         if not (b[1:] > b[:-1]).all():
             raise ValueError("bounds must be strictly increasing")
+        total = float(total)
+        if not (np.isfinite(c).all() and math.isfinite(total)):
+            raise ValueError("level measure coefficients and total must be finite")
         object.__setattr__(self, "_b", _frozen(b))
         object.__setattr__(self, "_c", _frozen(c))
         object.__setattr__(self, "_bounds", None)
         object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "total", float(total))
+        object.__setattr__(self, "total", total)
 
     @property
     def bounds(self):
@@ -237,7 +240,8 @@ def level_measure(f):
     (hi - y) * width / (hi - lo) for levels inside its span and its full
     width below; constant segments contribute their width up to their
     value, creating the downward jump there.  A segment whose rate
-    width / (hi - lo) overflows counts as constant at lo.
+    width / (hi - lo) exceeds the largest float over the segment count
+    counts as constant at lo, so that no sum of rates overflows.
 
     Every piece's value and slope is summed freshly over the segments
     spanning it, so no cancellation occurs even when segment slopes vary
@@ -255,11 +259,11 @@ def level_measure(f):
     b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
     K = len(b) - 1
 
-    # a segment too steep for its rate to be a float counts as constant
-    # at its low value: its mass then enters P as a jump at lo
+    # a segment too steep for every sum of rates to be a float counts as
+    # constant at its low value: its mass then enters P as a jump at lo
     with np.errstate(divide="ignore", over="ignore"):
         rate = w / (hi - lo)
-    finite = np.isfinite(rate)
+    finite = rate <= np.finfo(float).max / len(w)
     nz, cidx = np.flatnonzero(finite), np.flatnonzero(~finite)
     rate = rate[nz]
 
@@ -514,17 +518,18 @@ def product_level(p1, p2):
     Cartesian product of the factors' super-level sets, so the level
     measures multiply.  Pieces multiply on the common refinement, each
     factor re-anchored at the common top first; the result must stay
-    within degree 2.
+    within degree 2 and, as every level measure, finite.
     """
     bounds = np.union1d(p1._b, p2._b)
-    a0, a1, a2 = _recentred(p1, bounds[1:])
-    b0, b1, b2 = _recentred(p2, bounds[1:])
-    if np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0):
-        raise ValueError(
-            "degree overflow: the product of these level measures exceeds degree 2"
-        )
-    coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
-    return LevelMeasure(bounds, coeffs, p1.total * p2.total)
+    with np.errstate(over="ignore"):  # an overflow is reported by LevelMeasure
+        a0, a1, a2 = _recentred(p1, bounds[1:])
+        b0, b1, b2 = _recentred(p2, bounds[1:])
+        if np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0):
+            raise ValueError(
+                "degree overflow: the product of these level measures exceeds degree 2"
+            )
+        coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
+        return LevelMeasure(bounds, coeffs, p1.total * p2.total)
 
 
 def _merged_grid(f1, f2):

@@ -7,6 +7,7 @@ structure: subset possibility, min-product joints, marginals, domain
 extension, permutation, and pointwise meet/join.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +144,7 @@ def extend(d, superset_labels):
 
 
 def _check_permutation(mapping, n):
-    mapping = tuple(int(i) for i in mapping)
+    mapping = tuple(map(operator.index, mapping))
     if len(mapping) != n:
         raise ValueError(f"permutation size {len(mapping)} does not match distribution size {n}")
     if sorted(mapping) != list(range(n)):
@@ -162,7 +163,8 @@ def permute(d, mapping):
 
 
 def invert_permutation(mapping):
-    mapping = _check_permutation(mapping, len(tuple(mapping)))
+    mapping = tuple(mapping)
+    mapping = _check_permutation(mapping, len(mapping))
     inverse = [0] * len(mapping)
     for i, j in enumerate(mapping):
         inverse[j] = i

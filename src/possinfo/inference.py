@@ -252,6 +252,14 @@ def _exact_u(point, weights):
     return sum(w * x for w, x in zip(weights, sorted(point, reverse=True)))
 
 
+def _grid(values, r):
+    """Every assignment of r coordinates to the ascending ``values``, in lexicographic order."""
+    g = np.empty((len(values) ** r, r))
+    for j, axis in enumerate(np.meshgrid(*([values] * r), indexing="ij")):
+        g[:, j] = axis.ravel()
+    return g
+
+
 class _VertexSearch:
     """Cell vertices of a problem: a float pass per pattern, exact points on demand.
 
@@ -279,9 +287,7 @@ class _VertexSearch:
     def grid(self, r):
         """Every assignment of r coordinates to constants, one of them 1 when normalized."""
         if r not in self.grids:
-            g = np.empty((len(self.consts) ** r, r))
-            for j, axis in enumerate(np.meshgrid(*([self.consts] * r), indexing="ij")):
-                g[:, j] = axis.ravel()
+            g = _grid(self.consts, r)
             self.grids[r] = g[(g == 1.0).any(axis=1)] if self.normalized else g
         return self.grids[r]
 
@@ -489,7 +495,11 @@ def solve_min_distance(problem):
 
 
 def brute_force_oracle(problem, resolution):
-    """Exhaustive grid scan; the test-time referee for both solvers."""
+    """Exhaustive grid scan; the test-time referee for both solvers.
+
+    The grid runs in lexicographic order, and of the points whose objective
+    is within 1e-12 of the best the lexicographically largest wins.
+    """
     n = len(problem.labels)
     if n > _ORACLE_SIZE:
         raise ValueError(f"exhaustive scan is capped at {_ORACLE_SIZE} labels")
@@ -501,51 +511,33 @@ def brute_force_oracle(problem, resolution):
     if minimize:
         prior = np.asarray(problem.objective.prior.values, dtype=float)
         metric = problem.objective.metric
+        up = _u_of_values(prior)
 
-    if n == 1:
-        tail = np.empty((1, 0))
-    else:
-        mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-        tail = np.stack([m.ravel() for m in mesh], axis=1)
-
-    best_obj = None
-    best_row = None
+    # one slice of the grid per first coordinate, which is written in place
+    block = np.empty((len(axis) ** (n - 1), n))
+    block[:, 1:] = _grid(axis, n - 1)
+    reach = (block[:, 1:] >= 1.0 - 1e-9).any(axis=1) | (not problem.require_normalized)
+    best_obj, best_row = -np.inf, None
     feasible_count = 0
     for v0 in axis:
-        block = np.column_stack([np.full(len(tail), v0), tail])
-        mask = np.ones(len(block), dtype=bool)
+        block[:, 0] = v0
+        mask = reach | (v0 >= 1.0 - 1e-9)
         for c in problem.constraints:
-            lhs = block @ np.asarray(c.coefficients)
-            if c.relation == "<=":
-                mask &= lhs <= c.bound + 1e-9
-            elif c.relation == ">=":
-                mask &= lhs >= c.bound - 1e-9
-            else:
-                mask &= np.abs(lhs - c.bound) <= 1e-9
-        if problem.require_normalized:
-            mask &= block.max(axis=1) >= 1.0 - 1e-9
+            excess = block @ np.asarray(c.coefficients) - c.bound
+            mask &= {"<=": excess, ">=": -excess, "=": np.abs(excess)}[c.relation] <= 1e-9
         rows = block[mask]
         if not len(rows):
             continue
         feasible_count += len(rows)
-        if minimize:
-            j = np.maximum(rows, prior)
-            uj = _u_of_rows(j)
-            uv = _u_of_rows(rows)
-            up = _u_of_values(prior)
-            obj = (uj - uv) + (uj - up) if metric == "G" else uj - np.minimum(uv, up)
-            obj = -obj  # track maxima uniformly
-        else:
-            obj = _u_of_rows(rows)
+        obj = _u_of_rows(rows)
+        if minimize:  # track maxima uniformly
+            uj = _u_of_rows(np.maximum(rows, prior))
+            obj = -((uj - obj) + (uj - up) if metric == "G" else uj - np.minimum(obj, up))
         top = obj.max()
-        tied = rows[obj >= top - 1e-12]
-        order = np.lexsort(tuple(tied[:, j] for j in range(n - 1, -1, -1)))
-        row = tied[order[-1]]
-        if best_obj is None or top > best_obj + 1e-12 or (
-            abs(top - best_obj) <= 1e-12 and tuple(row) > tuple(best_row)
-        ):
-            best_obj = max(top, best_obj) if best_obj is not None else top
-            best_row = row
+        # rows and slices ascend lexicographically: the last tied point is the largest
+        if top > best_obj + 1e-12 or abs(top - best_obj) <= 1e-12:
+            best_obj = max(top, best_obj)
+            best_row = rows[np.flatnonzero(obj >= top - 1e-12)[-1]]
 
     if best_row is None:
         raise InfeasibleProblemError(

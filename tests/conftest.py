@@ -130,11 +130,12 @@ def level_measure_by_active_set(f):
     b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
     K = len(b) - 1
 
-    # as in the library, a segment whose rate is not a finite float (a
-    # constant one, or one too steep) counts as constant at its low value
+    # as in the library, a segment whose rate exceeds the largest float
+    # over the segment count (a constant one, or one too steep) counts as
+    # constant at its low value, so that no sum of rates overflows
     with np.errstate(divide="ignore", over="ignore"):
         rate = w / (hi - lo)
-    const = ~np.isfinite(rate)
+    const = ~(rate <= np.finfo(float).max / len(w))
     nz = np.nonzero(~const)[0]
 
     lo_sorted = np.sort(lo[nz])

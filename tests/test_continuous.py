@@ -113,6 +113,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="strictly increasing"):
             LevelMeasure((0.0, 0.5, 0.5, 1.0), ((1.0, -1.0),) * 3, total=1.0)
 
+    @pytest.mark.parametrize("coeffs, total", [
+        (((1.0, -1.0),), math.nan),
+        (((1.0, -1.0),), math.inf),
+        (((1.0, -math.inf),), 1.0),
+        (((math.nan, -1.0),), 1.0),
+        (((1.0, -1.0, math.nan),), 1.0),
+    ])
+    def test_level_measure_rejects_non_finite_numbers(self, coeffs, total):
+        with pytest.raises(ValueError, match="must be finite"):
+            LevelMeasure((0.0, 1.0), coeffs, total)
+
     def test_level_measure_pads_linear_rows(self):
         P = LevelMeasure([0.0, 0.5, 1.0], [(0.5, -1.0), (0.0, -1.0, 0.0)], total=1.0)
         assert P.coeffs == ((0.5, -1.0, 0.0), (0.0, -1.0, 0.0))
@@ -426,6 +437,18 @@ class TestExtremeGaps:
         assert value == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
         assert value == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("count", range(2, 9))
+    def test_steep_segments_whose_rates_sum_past_the_float_range(self, count):
+        # each segment of width 0.1 between 0 and 1e-309 has the finite
+        # rate 1e308, but no sum of two fits a float: they enter P as jumps
+        # at 0, and the final ramp over [0.1 * count, 1] carries the info
+        teeth = [(0.1 * k, 1e-309 * (k % 2)) for k in range(1, count + 1)]
+        f = PiecewisePossibility([(0, 0), *teeth, (1, 1)])
+        assert_matches_active_set(f)
+        expected = 1.0 + math.log(1.0 / (1.0 - 0.1 * count))
+        assert info(f) == pytest.approx(info_by_segment_levels(f), abs=1e-12)
+        assert info(f) == pytest.approx(expected, abs=1e-12)
+
 
 class TestInfoFromLevel:
     def test_linear_level(self):
@@ -567,6 +590,12 @@ class TestProductLevel:
                 assert not expected[3:].any()
                 ulp = np.spacing(np.maximum(np.abs(c), np.abs(expected[:3])))
                 assert np.all(np.abs(np.subtract(c, expected[:3])) <= 4 * ulp)
+
+    def test_float_overflow_is_an_error(self):
+        # a slope of -1e199 on a piece 1e-200 high squares past the float range
+        P = LevelMeasure((0.0, 1e-200, 1.0), ((0.9, -1e199), (0.0, -0.9)), 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            product_level(P, P)
 
     def test_degree_overflow(self):
         P = level_measure(RAMP_DOWN)

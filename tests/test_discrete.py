@@ -226,6 +226,17 @@ class TestPermute:
         with pytest.raises(ValueError, match="size"):
             permute(d, (0, 1, 2))
 
+    @pytest.mark.parametrize("mapping", [(1.5, 0.0), ("1", "0"), (1.0, 0.0)])
+    def test_non_integer_entries_rejected(self, mapping):
+        d = DiscreteDistribution(("a", "b"), (1.0, 0.5))
+        with pytest.raises(TypeError):
+            permute(d, mapping)
+        with pytest.raises(TypeError):
+            invert_permutation(mapping)
+
+    def test_inverse_of_an_iterator(self):
+        assert invert_permutation(iter([1, 2, 0])) == (2, 0, 1)
+
     def test_inverse_roundtrip(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 7))

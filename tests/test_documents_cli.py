@@ -345,6 +345,12 @@ class TestCli:
         assert run_command(["info", path]) == 0
         assert capsys.readouterr().out == "1.000000\n"
 
+    def test_info_of_steep_segments_whose_rates_sum_past_the_float_range(self, docs, capsys):
+        points = [[0, 0], [0.1, 1e-309], [0.2, 0], [0.3, 1e-309], [0.4, 0], [1, 1]]
+        path = docs("steep.json", {"kind": "piecewise_linear", "points": points})
+        assert run_command(["info", path]) == 0
+        assert capsys.readouterr().out == "1.510826\n"  # 1 + ln(1 / 0.6)
+
     def test_info_subnormal_is_math_error(self, docs, capsys):
         path = docs("sub.json", {"kind": "piecewise_linear", "points": [[0, 0.5], [1, 0.2]]})
         assert run_command(["info", path]) == 3
