@@ -188,7 +188,7 @@ def run_command(argv):
         return _fail("math", str(e), 3)
     except ValueError as e:  # SchemaError among them
         return _fail("data", str(e), 2)
-    except MemoryError as e:  # an input too large to hold, such as approx --n 10**16
+    except (MemoryError, OverflowError) as e:  # too large to hold: approx --n 10**16, 10**400
         return _fail("data", str(e) or "out of memory", 2)
     except OSError as e:
         return _fail("io", str(e), 2)

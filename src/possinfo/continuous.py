@@ -52,10 +52,10 @@ class PiecewisePossibility:
     piecewise-linear function the sup is attained at a breakpoint).
     The breakpoints may be given as any iterable of (x, value) pairs or as
     an n-by-2 array; ``xs`` and ``vs`` are read-only arrays, and the
-    ``points`` tuple is built on first use.
+    ``points`` tuple is built from them on each access.
     """
 
-    __slots__ = ("_xs", "_vs", "_points", "is_normalized")
+    __slots__ = ("_xs", "_vs", "is_normalized")
 
     def __init__(self, points):
         pts = _float_array(points)
@@ -76,7 +76,6 @@ class PiecewisePossibility:
             raise ValueError(f"value at breakpoint {i} outside [0, 1]: {float(vs[i])!r}")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_vs", vs)
-        object.__setattr__(self, "_points", None)
         object.__setattr__(self, "is_normalized", bool(vs.max() >= 1.0 - NORMALIZATION_TOL))
 
     def __setattr__(self, name, value):
@@ -95,9 +94,7 @@ class PiecewisePossibility:
 
     @property
     def points(self):
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(zip(self._xs.tolist(), self._vs.tolist())))
-        return self._points
+        return tuple(zip(self._xs.tolist(), self._vs.tolist()))
 
     @property
     def xs(self):
@@ -164,10 +161,10 @@ class LevelMeasure:
     d1 <= 0, and for the pieces built here d2 >= 0, so every term is
     nonnegative and evaluation never cancels, however steep the piece.
     Rows are (d0, d1) or (d0, d1, d2), or a K-by-3 array; ``bounds`` and
-    ``coeffs`` are tuples built on first use.
+    ``coeffs`` are tuples built from the read-only arrays on each access.
     """
 
-    __slots__ = ("_b", "_c", "_bounds", "_coeffs", "total")
+    __slots__ = ("_b", "_c", "total")
 
     def __init__(self, bounds, coeffs, total):
         b = _float_array(bounds)
@@ -185,21 +182,15 @@ class LevelMeasure:
             raise ValueError("level measure coefficients and total must be finite")
         object.__setattr__(self, "_b", _frozen(b))
         object.__setattr__(self, "_c", _frozen(c))
-        object.__setattr__(self, "_bounds", None)
-        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "total", total)
 
     @property
     def bounds(self):
-        if self._bounds is None:
-            object.__setattr__(self, "_bounds", tuple(self._b.tolist()))
-        return self._bounds
+        return tuple(self._b.tolist())
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(map(tuple, self._c.tolist())))
-        return self._coeffs
+        return tuple(map(tuple, self._c.tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LevelMeasure is immutable")
@@ -228,9 +219,7 @@ class LevelMeasure:
             raise ValueError("level must lie in [0, 1]")
         if y == 0.0:
             return self.total
-        k = int(np.searchsorted(self._b, y)) - 1
-        k = min(max(k, 0), len(self._c) - 1)
-        return self.piece_value(k, y)
+        return self.piece_value(int(np.searchsorted(self._b, y)) - 1, y)
 
 
 def level_measure(f):
@@ -317,8 +306,6 @@ def _quad_inverse_points(c, ya, yb, pa, pb, tol):
     intervals of one depth are inverted together.  Returns the piece, x
     and y of every final interval's right end, sorted by piece and x.
     """
-    if not len(c):
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     found = []
     j = np.arange(len(c))
     x0, y0, x1, y1 = pb, yb, pa, ya

@@ -77,6 +77,16 @@ def _load(text):
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid document at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise SchemaError("invalid document: arrays and objects nest too deeply") from None
+
+
+def _construct(make, *args, where=""):
+    """``make(*args)``, with a ``ValueError`` re-raised as ``SchemaError`` prefixed by ``where``."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise SchemaError(f"{where}{e}") from None
 
 
 def _expect_object(doc):
@@ -134,20 +144,14 @@ def _distribution(doc):
     """The value of a decoded distribution document."""
     doc = _expect_object(doc)
     kind = _field(doc, "kind")
-    try:
-        if kind == "discrete":
-            labels = _field(doc, "labels")
-            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-                raise SchemaError("'labels' must be an array of strings")
-            values = _number_list(_field(doc, "values"), "'values'")
-            return DiscreteDistribution(tuple(labels), values)
-        if kind == "piecewise_linear":
-            points = _point_list(_field(doc, "points"), "'points'")
-            return PiecewisePossibility(points)
-    except SchemaError:
-        raise
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    if kind == "discrete":
+        labels = _field(doc, "labels")
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise SchemaError("'labels' must be an array of strings")
+        values = _number_list(_field(doc, "values"), "'values'")
+        return _construct(DiscreteDistribution, tuple(labels), values)
+    if kind == "piecewise_linear":
+        return _construct(PiecewisePossibility, _point_list(_field(doc, "points"), "'points'"))
     raise SchemaError(f"unknown distribution kind {kind!r}")
 
 
@@ -155,11 +159,7 @@ def parse_tau(text):
     doc = _expect_object(_load(text))
     if _field(doc, "kind") != "tau":
         raise SchemaError("expected a document with kind 'tau'")
-    points = _point_list(_field(doc, "points"), "'points'")
-    try:
-        return Tau(points)
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    return _construct(Tau, _point_list(_field(doc, "points"), "'points'"))
 
 
 def parse_problem(text):
@@ -181,10 +181,8 @@ def parse_problem(text):
         bound = _field(c, "bound", where)
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise SchemaError(f"{where}.bound must be a number")
-        try:
-            constraints.append(LinearConstraint(tuple(coeffs), relation, float(bound)))
-        except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from None
+        row = (tuple(coeffs), relation, float(bound))
+        constraints.append(_construct(LinearConstraint, *row, where=f"{where}: "))
     raw_obj = _field(doc, "objective")
     if not isinstance(raw_obj, dict):
         raise SchemaError("'objective' must be an object")
@@ -197,19 +195,15 @@ def parse_problem(text):
         prior = _distribution(prior_doc)
         if not isinstance(prior, DiscreteDistribution):
             raise SchemaError("'objective.prior' must be a discrete distribution")
-        try:
-            objective = MinDistance(prior, metric)
-        except ValueError as e:
-            raise SchemaError(f"'objective': {e}") from None
+        objective = _construct(MinDistance, prior, metric, where="'objective': ")
     else:
         raise SchemaError(f"unknown objective type {obj_type!r}")
     require_normalized = doc.get("require_normalized", True)
     if not isinstance(require_normalized, bool):
         raise SchemaError("'require_normalized' must be a boolean")
-    try:
-        return InferenceProblem(tuple(labels), tuple(constraints), objective, require_normalized)
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    return _construct(
+        InferenceProblem, tuple(labels), tuple(constraints), objective, require_normalized
+    )
 
 
 def serialize_distribution(obj, metadata=None):

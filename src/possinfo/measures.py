@@ -136,12 +136,8 @@ def info_tau(d, tau):
     (interpolation is skipped, not merely accurate).
     """
     values = _values_of(d)
-    if tau.is_identity():
-        return _u_of_values(values)
-    p = np.sort(values)[::-1]
-    if p.size <= 1:
-        return 0.0
-    return float(np.asarray(tau(p[1:])) @ _log_weights(p.size))
+    # tau is nondecreasing, so it keeps the sorted order U sorts values into
+    return _u_of_values(values if tau.is_identity() else tau(values))
 
 
 def _functional(tau):

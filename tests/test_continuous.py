@@ -103,7 +103,21 @@ class TestConstruction:
 
     def test_arrays_are_read_only(self):
         with pytest.raises(ValueError):
+            TENT.xs[0] = 0.5
+        with pytest.raises(ValueError):
             TENT.vs[0] = 0.5
+
+    def test_points_are_the_arrays_on_every_read(self):
+        f = PiecewisePossibility([(0, -0.0), (0.3, 1), (1, 0.25)])
+        assert f.points == f.points == tuple(zip(f.xs.tolist(), f.vs.tolist()))
+        assert hash(f) == hash(PiecewisePossibility(f.points))
+        assert f == PiecewisePossibility([(0, 0.0), (0.3, 1), (1, 0.25)])
+
+    def test_level_tuples_are_the_arrays_on_every_read(self):
+        P = level_measure(PiecewisePossibility([(0, 0), (0.4, 1), (0.7, 1), (1, 0.5)]))
+        assert P.bounds == P.bounds == tuple(P._b.tolist())
+        assert P.coeffs == P.coeffs == tuple(map(tuple, P._c.tolist()))
+        assert hash(P) == hash(LevelMeasure(P.bounds, P.coeffs, P.total))
 
     def test_level_measure_validation(self):
         with pytest.raises(ValueError, match="one more bound"):

@@ -42,7 +42,7 @@ VALUE_CLASSES = {
     ),
     "LevelMeasure": (
         lambda: LevelMeasure((0.0, 1.0), ((0.0, -1.0),), total=1.0),
-        ("bounds", "coeffs", "total", "degree"),
+        ("bounds", "coeffs", "total"),
     ),
     "Tau": (lambda: Tau([(0, 0), (1, 1)]), ("ts", "taus")),
     "ConvergenceSeries": (lambda: ConvergenceSeries([(10, 1.5, 0.8)]), ("entries",)),

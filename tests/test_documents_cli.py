@@ -191,6 +191,17 @@ class TestParseTauAndProblem:
         assert str(as_prior.value) == str(as_document.value) == message
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_distribution, "[" * 100_000 + "]" * 100_000),
+    (parse_tau, "[" * 100_000 + "]" * 100_000),
+    (parse_problem, "[" * 100_000 + "]" * 100_000),
+    (parse_problem, '{"labels": ["a"], "constraints": ' + "[" * 5000 + "]" * 5000 + "}"),
+])
+def test_deeply_nested_document_is_schema_error(parse, text):
+    with pytest.raises(SchemaError, match="^invalid document: arrays and objects nest too deeply$"):
+        parse(text)
+
+
 class TestEmitCsv:
     def test_series_four_lines(self, tmp_path):
         series = ConvergenceSeries([(10, 1.51, 0.79), (100, 4.0, 0.6), (1000, 6.2, 0.7)])
@@ -413,6 +424,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:data: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_approx_count_past_the_float_range_is_data_error(self, docs, tmp_path, capsys):
+        lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
+        out = tmp_path / "series.csv"
+        assert run_command(["approx", lin, "--n", "1" + "0" * 400, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:data: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["uncertainty", "uncertainty --tau", "info", "infer"])
+    def test_deeply_nested_document_is_data_error(self, docs, tmp_path, capsys, command):
+        deep = docs("deep.json", "[" * 100_000 + "]" * 100_000)
+        two = docs("two.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]})
+        out = tmp_path / "out.json"
+        argv = {
+            "uncertainty": ["uncertainty", deep],
+            "uncertainty --tau": ["uncertainty", two, "--tau", deep],
+            "info": ["info", deep],
+            "infer": ["infer", deep, "--out", str(out)],
+        }[command]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:data: invalid document: arrays and objects nest too deeply\n"
         assert not out.exists()
 
     def test_infer_writes_solution(self, docs, tmp_path, capsys):

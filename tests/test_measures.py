@@ -155,6 +155,19 @@ class TestTau:
             d = random_distribution(rng, int(rng.integers(1, 7)), normalized=False)
             assert info_tau(d, ident) == u_uncertainty(d)
 
+    def test_is_u_of_the_tau_values_bit_for_bit(self, rng):
+        for i in range(2000):
+            tau = random_tau(rng)
+            if i % 2:
+                r, c = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+                rows, cols = tuple(f"r{k}" for k in range(r)), tuple(f"c{k}" for k in range(c))
+                d = JointDistribution(rows, cols, rng.uniform(0, 1, (r, c)).tolist())
+                deformed = JointDistribution(rows, cols, tau(d.as_array()).tolist())
+            else:
+                d = random_distribution(rng, int(rng.integers(1, 9)), normalized=False)
+                deformed = DiscreteDistribution(d.labels, tau(d.as_array()).tolist())
+            assert info_tau(d, tau) == u_uncertainty(deformed)
+
     def test_square_deformation_example(self):
         tau = Tau.from_function(lambda t: t * t, 1001)
         got = info_tau(D(1, 0.5), tau)
