@@ -56,10 +56,14 @@ def _log_weights(n):
     return _WEIGHTS[: max(n - 1, 0)]
 
 
+def _u_of_ascending(p):
+    """U of each row of a C-contiguous p already sorted ascending along the last axis."""
+    return p[..., ::-1][..., 1:] @ _log_weights(p.shape[-1])  # 0.0 for one value
+
+
 def _u_of_rows(values):
     """U of each row (last axis); a row and the same values alone agree bit for bit."""
-    p = np.sort(values, axis=-1)[..., ::-1]
-    return p[..., 1:] @ _log_weights(p.shape[-1])  # the empty product gives 0.0 for one value
+    return _u_of_ascending(np.sort(values, axis=-1))
 
 
 def _u_of_values(values):

@@ -15,11 +15,16 @@ from possinfo import (
 )
 
 import possinfo.approximation
+from possinfo.approximation import _sample, _u_of_sample
+from possinfo.measures import _u_of_values
 
 from conftest import random_piecewise
 
 RAMP_DOWN = PiecewisePossibility([(0, 1), (1, 0)])
 UNIFORM = PiecewisePossibility([(0, 1), (1, 1)])
+CUBE = sample_function(lambda x: x * x * x, 101)
+ONE_MINUS_CUBE = sample_function(lambda x: 1 - x**3, 101)
+TENT = PiecewisePossibility([(0, 0), (0.3, 1), (1, 0)])
 
 
 class TestDiscretize:
@@ -135,10 +140,23 @@ class _OneValueAt:
         return values
 
 
+class _Returns:
+    """Duck-typed normalized f whose samples are ``make(xs)``, a view as returned."""
+
+    is_normalized = True
+
+    def __init__(self, make):
+        self.make = make
+
+    def __call__(self, xs):
+        return self.make(xs)
+
+
 class TestArraySampling:
     """approx_info and convergence_series take U from the sampled array."""
 
     NS = (1, 2, 64, 65, 1000)
+    MONOTONE_NS = (1, 2, 64, 65, 1000, 10**5)
 
     def test_approx_info_matches_discretized_u_exactly(self, rng):
         for _ in range(20):
@@ -156,6 +174,66 @@ class TestArraySampling:
                     u = u_uncertainty(discretize(f, e.n, grid=grid))
                     assert e.u_value == u
                     assert e.approx_info == math.log(e.n) - u
+
+    def test_monotone_curves_match_discretized_u_exactly(self):
+        # samples already in order skip the sort; the bits must not notice
+        for f in (RAMP_DOWN, CUBE, ONE_MINUS_CUBE):
+            for grid in ("left", "right"):
+                series = convergence_series(f, self.MONOTONE_NS, grid=grid)
+                for n, e in zip(self.MONOTONE_NS, series):
+                    u = u_uncertainty(discretize(f, n, grid=grid))
+                    assert approx_info(f, n, grid) == math.log(n) - u
+                    assert e.u_value == u
+                    assert e.approx_info == math.log(n) - u
+
+    def test_sample_u_matches_sort_path_bits(self, rng):
+        ramp = np.arange(1.0, 1001.0) / 1000
+        plateaus = np.repeat([0.0, 0.25, 0.5, 1.0], [3, 40, 1, 7])
+        arrays = [
+            ramp,
+            ramp[::-1].copy(),
+            np.full(50, 0.3),
+            plateaus,
+            plateaus[::-1].copy(),
+            np.array([-0.0, 0.0, -0.0, 0.0, 0.5, 1.0]),
+            np.array([1.0, 0.0, -0.0, 0.0, -0.0]),
+            np.array([-0.0, -0.0]),
+            np.array([0.4]),
+            np.array([-0.0]),
+            np.array([0.2, 1.0]),
+            np.array([1.0, 0.2]),
+            np.array([0.5, 0.5]),
+            np.array([0.5, 1.0, 0.25, 1.0, 0.0]),
+            np.round(rng.random(997), 2),
+        ]
+        for v in arrays:
+            assert _u_of_sample(v).hex() == _u_of_values(v).hex()
+        # duck-typed f returning a negative-stride ascending view and a stride-0 view
+        views = [lambda xs: (1.0 - xs)[::-1], lambda xs: np.broadcast_to(1.0, xs.shape)]
+        for make in views:
+            f = _Returns(make)
+            for n in (1, 2, 1000):
+                v = _sample(f, n, "left")
+                assert _u_of_sample(v).hex() == _u_of_values(v).hex()
+                assert approx_info(f, n) == math.log(n) - u_uncertainty(discretize(f, n))
+
+    def test_sort_skipped_for_samples_in_order(self, monkeypatch):
+        calls = []
+        sort = np.sort
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", spy)
+        ns = (10, 100, 10**4)
+        for f in (RAMP_DOWN, CUBE):
+            approx_info(f, 10**4)
+            convergence_series(f, ns)
+        assert calls == []
+        approx_info(TENT, 10**4)
+        convergence_series(TENT, ns)
+        assert calls == [10**4, *ns]
 
     def test_builds_no_labelled_distribution(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -245,17 +323,24 @@ class TestPinnedBits:
     keep every bit; a change that moves one fails here.
     """
 
-    CUBE = sample_function(lambda x: x * x * x, 101)
-    TENT = PiecewisePossibility([(0, 0), (0.3, 1), (1, 0)])
-
     def test_approx_info(self):
         assert approx_info(RAMP_DOWN, 10**5).hex() == "0x1.fff7401b53790p-1"
-        assert approx_info(self.CUBE, 10**5, grid="right").hex() == "0x1.d5342b0ec1a18p+0"
+        assert approx_info(CUBE, 10**5, grid="right").hex() == "0x1.d5342b0ec1a18p+0"
+
+    def test_approx_info_in_order_at_a_million(self):
+        # the descending and the ascending path that skip the sort
+        assert approx_info(RAMP_DOWN, 10**6).hex() == "0x1.fffef961362c0p-1"
+        assert approx_info(CUBE, 10**6, grid="right").hex() == "0x1.d53e5e3d4e7f8p+0"
 
     def test_convergence_series_entry(self):
-        entry = convergence_series(self.TENT, (10**3, 10**4, 10**6)).entries[-1]
+        entry = convergence_series(TENT, (10**3, 10**4, 10**6)).entries[-1]
         assert entry.u_value.hex() == "0x1.9a18ab7192484p+3"
         assert entry.approx_info.hex() == "0x1.ffffe276db1c0p-1"
+
+    def test_convergence_series_entry_in_order(self):
+        entry = convergence_series(ONE_MINUS_CUBE, (10**4, 10**6)).entries[-1]
+        assert entry.u_value.hex() == "0x1.af6d9743c45c5p+3"
+        assert entry.approx_info.hex() == "0x1.55624aa773b60p-2"
 
 
 class TestConvergenceRate:
