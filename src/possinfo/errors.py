@@ -16,9 +16,11 @@ class OrderViolationError(PossibilityError):
 class InfeasibleProblemError(PossibilityError):
     """No admissible distribution satisfies the given constraints.
 
-    ``witness`` carries the best point found by phase-1 of the internal LP
-    together with its total constraint violation, so a caller can inspect
-    why the problem has no solution.
+    ``witness`` carries ``total_violation``, the exact minimum over the box
+    0 <= v <= 1 of the summed constraint violation (``inf`` past the float
+    range), and ``best_point``, the lexicographically largest point where
+    it is reached, so a caller can inspect why the problem has no solution.
+    Constraints met only by points below 1 give ``{"normalized": False}``.
     """
 
     def __init__(self, message, witness=None):

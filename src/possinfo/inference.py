@@ -13,6 +13,8 @@ tie pattern's integer system is eliminated once: its determinant and
 den * M^-1 serve the float pass, the exact points and a K line's
 direction.  Max-U takes only the patterns with at most one tie group (see
 ``solve_max_u``).  ``brute_force_oracle``, a grid scan, checks both in the tests.
+When nothing is admissible, the same search, scoring summed violation over
+the box, names the nearest point (see ``_ViolationSearch``).
 """
 
 import itertools
@@ -25,13 +27,13 @@ import numpy as np
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
 from .measures import _log_weights, _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
-from .simplex import _RELS, feasible_point
 
 _MAX_U_SIZE = 8
 _MIN_DIST_SIZE = 6
 _ORACLE_SIZE = 4
 _ORACLE_RESOLUTIONS = (0.1, 0.05, 0.02, 0.01)
 _FEAS_TOL = 1e-7
+_RELS = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)
@@ -102,36 +104,6 @@ class InferenceSolution:
     distribution: DiscreteDistribution
     objective_value: float
     certificate: dict
-
-
-def _base_rows(problem):
-    n = len(problem.labels)
-    rows = [(list(c.coefficients), c.relation, c.bound) for c in problem.constraints]
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        rows.append((e, "<=", 1.0))
-    return rows
-
-
-def _raise_infeasible(problem, context):
-    n = len(problem.labels)
-    res = feasible_point(n, _base_rows(problem))
-    if res.status == "infeasible":
-        witness = {
-            "best_point": tuple(float(v) for v in res.x),
-            "total_violation": float(res.violation),
-        }
-        raise InfeasibleProblemError(
-            f"constraints are infeasible; minimal total violation "
-            f"{float(res.violation):.6g} at {witness['best_point']}",
-            witness=witness,
-        )
-    raise InfeasibleProblemError(
-        f"{context}: the constraints admit no normalized assignment "
-        "(no coordinate can reach possibility 1)",
-        witness={"normalized": False},
-    )
 
 
 def _position_weights(n):
@@ -206,7 +178,7 @@ def _patterns(n, m, line, normalized, ties=None):
     """
     for size in range(line, n + (not normalized)):
         for free in itertools.combinations(range(n), size):
-            for groups in _partitions(list(free)):
+            for groups in [[[j] for j in free]] if ties == 0 else _partitions(list(free)):
                 if ties is not None and sum(len(g) > 1 for g in groups) > ties:
                     continue
                 for chosen in itertools.combinations(range(m), len(groups) - line):
@@ -241,11 +213,6 @@ def _exact_point(rows, n, chosen, system, fixed):
     for g, row in zip(solved, inverse):
         point.update(dict.fromkeys(g, Fraction(sum(a * b for a, b in zip(row, ints)), den * scale)))
     return [point[j] for j in range(n)]
-
-
-def _exact_feasible(rows, point):
-    den = math.lcm(*(x.denominator for x in point))
-    return all(0 <= x <= 1 for x in point) and _satisfies(rows, [int(x * den) for x in point], den)
 
 
 def _exact_u(point, weights):
@@ -352,6 +319,11 @@ class _VertexSearch:
             ok &= {"<=": excess, ">=": -excess, "=": np.abs(excess)}[rel] <= _FEAS_TOL
         return ok
 
+    def exact_feasible(self, point):
+        den = math.lcm(*(x.denominator for x in point))
+        numerators = [int(x * den) for x in point]
+        return all(0 <= x <= 1 for x in point) and _satisfies(self.rows, numerators, den)
+
     def score(self, points):
         uv = _u_of_rows(points)
         if self.metric is None:
@@ -391,16 +363,14 @@ class _VertexSearch:
         return 2 * uj - uv - up if self.metric == "G" else uj - min(uv, up)
 
 
-def _exact_minimizers(problem):
+def _exact_minimizers(search, ties):
     """(float candidates, exact minimizers lexicographically descending) over the cell vertices.
 
-    Each pattern's constant assignments are solved and scored in one float
-    pass; the candidates within 1e-9 of the best are then solved, checked
-    and scored exactly with the rational images of the float weights.
+    ``ties`` caps the tie groups of the patterns searched.  Each pattern's
+    constant assignments are solved and scored in one float pass; the
+    candidates within 1e-9 of the best are then solved, checked and scored
+    exactly.
     """
-    search = _VertexSearch(problem)
-    # -U is concave where one coordinate is the largest: see solve_max_u
-    ties = int(not search.normalized) if search.metric is None else None
     batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
     for line in (False, True) if search.metric == "K" else (False,):
         for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
@@ -418,13 +388,85 @@ def _exact_minimizers(problem):
         if best is not None and scores[c] > float(best) + 1e-9:
             break
         for point in search.exact_points(*refs[c][0], refs[c][1]):
-            if _exact_feasible(search.rows, point):
+            if search.exact_feasible(point):
                 s = search.exact_score(point)
                 if best is None or s < best:
                     best, optima = s, set()
                 if s == best:
                     optima.add(tuple(point))
     return len(scores), sorted(optima, reverse=True)
+
+
+class _ViolationSearch(_VertexSearch):
+    """The vertices of the rows' arrangement with the box faces, scored by summed violation.
+
+    Only the box 0 <= v <= 1 is held hard.  A point pays max(0, a.v - b)
+    for each "<=" row, max(0, b - a.v) for each ">=" row and |a.v - b| for
+    each "=" row.  That sum is convex and piecewise linear with its breaks
+    on the rows' hyperplanes, so its minimum and its lexicographically
+    largest minimizer sit at a vertex of their arrangement with {v_j = 0}
+    and {v_j = 1}: a pattern with no tie group over the constants {0, 1}.
+    Scores are in units of 2**scale, one power of two for all rows that
+    bounds every coefficient by 1, so the float pass cannot overflow.
+    """
+
+    def __init__(self, problem):
+        super().__init__(InferenceProblem(problem.labels, problem.constraints, MaxU(), False))
+        rows = np.array([(*c.coefficients, c.bound) for c in problem.constraints])
+        self.scale = int(np.frexp(np.abs(rows).max())[1])
+        unit = Fraction(2) ** -self.scale
+        self.exact = [([Fraction(x) * unit for x in c.coefficients], c.relation,
+                       Fraction(c.bound) * unit) for c in problem.constraints]
+        rows = np.ldexp(rows, -self.scale)
+        self.coeffs, self.bounds = rows[:, :-1], rows[:, -1]
+        rels = np.array([c.relation for c in problem.constraints])
+        self.over, self.under = rels != ">=", rels != "<="
+
+    def feasible(self, points):
+        return ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
+
+    def exact_feasible(self, point):
+        return all(0 <= x <= 1 for x in point)
+
+    def score(self, points):
+        excess = points @ self.coeffs.T - self.bounds
+        return (np.maximum(excess, 0.0) * self.over
+                + np.maximum(-excess, 0.0) * self.under).sum(axis=1)
+
+    def exact_score(self, point):
+        total = Fraction(0)
+        for coeffs, rel, bound in self.exact:
+            excess = sum(a * x for a, x in zip(coeffs, point)) - bound
+            total += abs(excess) if rel == "=" else max(0, excess if rel == "<=" else -excess)
+        return total
+
+
+def _raise_infeasible(problem, context):
+    """Raise for a problem with no admissible assignment, with the nearest point as witness.
+
+    The witness is the exact minimum of the summed violation over the box
+    and the lexicographically largest point reaching it.  A zero minimum
+    means the rows are met but no coordinate can reach 1.
+    """
+    search = _ViolationSearch(problem)
+    point = _exact_minimizers(search, 0)[1][0]
+    violation = search.exact_score(point) * Fraction(2) ** search.scale
+    if not violation:
+        raise InfeasibleProblemError(
+            f"{context}: the constraints admit no normalized assignment "
+            "(no coordinate can reach possibility 1)",
+            witness={"normalized": False},
+        )
+    try:
+        total = float(violation)
+    except OverflowError:  # the exact minimum lies beyond the float range
+        total = math.inf
+    witness = {"best_point": tuple(float(x) for x in point), "total_violation": total}
+    raise InfeasibleProblemError(
+        f"constraints are infeasible; minimal total violation {total:.6g} "
+        f"at {witness['best_point']}",
+        witness=witness,
+    )
 
 
 def solve_max_u(problem):
@@ -446,7 +488,8 @@ def solve_max_u(problem):
     n = len(problem.labels)
     if n > _MAX_U_SIZE:
         raise ValueError(f"vertex enumeration is capped at {_MAX_U_SIZE} labels")
-    count, optimal = _exact_minimizers(problem)
+    # -U is concave where one coordinate is the largest: see the docstring
+    count, optimal = _exact_minimizers(_VertexSearch(problem), int(not problem.require_normalized))
     if not optimal:
         _raise_infeasible(problem, "maximum-uncertainty selection")
     dist = DiscreteDistribution(problem.labels, [float(x) for x in optimal[0]])
@@ -479,7 +522,7 @@ def solve_min_distance(problem):
     n = len(problem.labels)
     if n > _MIN_DIST_SIZE:
         raise ValueError(f"minimum-distance search is capped at {_MIN_DIST_SIZE} labels")
-    count, tied = _exact_minimizers(problem)
+    count, tied = _exact_minimizers(_VertexSearch(problem), None)
     if not tied:
         _raise_infeasible(problem, "minimum-distance selection")
     dist = DiscreteDistribution(problem.labels, [float(x) for x in tied[0]])

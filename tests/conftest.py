@@ -10,7 +10,9 @@ the level measure and rearrangement by scalar per-piece loops where the
 library uses array passes, the maximum-U vertices by the former
 per-region enumeration and the minimum-distance posterior by the former
 multi-start coordinate descent where the library enumerates cell
-vertices exactly, and the [x, v] pairs of a document by the former
+vertices exactly, the least summed violation of an infeasible problem by
+solving every n-subset of its hyperplanes and box faces where the library
+walks its tie patterns, and the [x, v] pairs of a document by the former
 per-pair reader where the library checks them in one pass.  They exist
 so the main code paths can be checked against independently computed
 values.
@@ -40,7 +42,6 @@ from possinfo.inference import (
     _MIN_DIST_SIZE,
     InferenceSolution,
     MinDistance,
-    _base_rows,
     _integer_rows,
     _position_weights,
     _raise_infeasible,
@@ -48,7 +49,7 @@ from possinfo.inference import (
     _solve_integer,
 )
 from possinfo.measures import _u_of_values
-from possinfo.simplex import solve_lp
+from simplex import solve_lp
 
 
 def u_by_level_counts(values):
@@ -333,6 +334,60 @@ def max_u_by_orderings(problem):
     return best, max(points)
 
 
+def _solve_fractions(matrix, rhs):
+    """The solution of matrix . x = rhs by Gaussian elimination in Fractions, or None if singular."""
+    n = len(matrix)
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def violation_by_arrangement(problem):
+    """Least summed violation over the box and its lexicographically largest minimizer, exactly.
+
+    The sum of max(0, a.v - b) ("<="), max(0, b - a.v) (">=") and
+    |a.v - b| ("=") is convex and piecewise linear, so it is least at a
+    vertex of the arrangement of the rows' hyperplanes with the box faces
+    v_j = 0 and v_j = 1.  Every n-subset of those equations is solved in
+    Fractions, and the solutions inside the box are scored.
+    """
+    n = len(problem.labels)
+    rows = [([Fraction(a) for a in c.coefficients], c.relation, Fraction(c.bound))
+            for c in problem.constraints]
+    planes = [(a, b) for a, _, b in rows]
+    planes += [(_unit(n, j), Fraction(side)) for j in range(n) for side in (0, 1)]
+
+    def violation(x):
+        total = Fraction(0)
+        for a, rel, b in rows:
+            excess = sum(ai * xi for ai, xi in zip(a, x)) - b
+            if rel != ">=":
+                total += max(excess, 0)
+            if rel != "<=":
+                total += max(-excess, 0)
+        return total
+
+    best, minimizers = None, []
+    for subset in itertools.combinations(planes, n):
+        x = _solve_fractions([a for a, _ in subset], [b for _, b in subset])
+        if x is None or not all(0 <= xi <= 1 for xi in x):
+            continue
+        score = violation(x)
+        if best is None or score < best:
+            best, minimizers = score, []
+        if score == best:
+            minimizers.append(tuple(x))
+    return best, max(minimizers)
+
+
 # ---------------------------------------------------------------------------
 # maximum U by per-region vertex enumeration (the former ``solve_max_u``)
 
@@ -539,6 +594,13 @@ def _search_directions(n, problem, pin, metric):
             d[j] = -coeffs[i]
             directions.append(tuple(d))
     return list(dict.fromkeys(directions))  # drop repeats, keep the order
+
+
+def _base_rows(problem):
+    """The problem's rows and v_j <= 1 as ``solve_lp`` rows."""
+    n = len(problem.labels)
+    rows = [(list(c.coefficients), c.relation, c.bound) for c in problem.constraints]
+    return rows + [(_unit(n, i), "<=", 1.0) for i in range(n)]
 
 
 def _l1_projection(n, rows, target):

@@ -1,4 +1,4 @@
-"""Small dense exact LP solver used by the inference module.
+"""Small dense exact LP solver: the reference LP of the inference oracles in the tests.
 
 Two-phase simplex on ``fractions.Fraction`` with Bland's rule, so every
 pivot is exact and termination is guaranteed without numerical
@@ -12,7 +12,7 @@ Variables are implicitly nonnegative; upper bounds go in as rows.
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RELS = ("<=", ">=", "=")
+from possinfo.inference import _RELS
 
 
 @dataclass(frozen=True)
@@ -178,5 +178,11 @@ def solve_lp(num_vars, objective, rows, maximize=True):
 
 
 def feasible_point(num_vars, rows):
-    """Phase-1 check: an exact feasible point, or the minimal total violation."""
+    """Phase-1 check: an exact feasible point, or phase 1's residual.
+
+    Rows that the origin satisfies get no artificial variable and are held
+    hard, so the residual is the least total violation of the other rows
+    under them: the least summed violation over the box only when every
+    row but x <= 1 has one.
+    """
     return solve_lp(num_vars, [0] * num_vars, rows)

@@ -485,19 +485,20 @@ class TestCli:
         assert json.loads(out.read_text())["values"] == [0.55, 1.0]
 
     def test_infer_infeasible_is_math_error(self, docs, tmp_path, capsys):
-        prob = docs(
-            "prob.json",
-            {
-                "labels": ["a"],
-                "constraints": [
-                    {"coefficients": [1], "relation": ">=", "bound": 0.9},
-                    {"coefficients": [1], "relation": "<=", "bound": 0.1},
-                ],
-                "objective": {"type": "max_u"},
-            },
-        )
-        assert run_command(["infer", prob, "--out", str(tmp_path / "x.json")]) == 3
-        assert capsys.readouterr().err.startswith("error:math:")
+        # the second problem's least total violation lies beyond the float range
+        for labels, rows in ((["a"], [([1], ">=", 0.9), ([1], "<=", 0.1)]),
+                             (["a", "b"], [([1, 0], ">=", 1.5e308), ([0, 1], ">=", 1.6e308)])):
+            prob = docs(
+                "prob.json",
+                {
+                    "labels": labels,
+                    "constraints": [{"coefficients": c, "relation": rel, "bound": b}
+                                    for c, rel, b in rows],
+                    "objective": {"type": "max_u"},
+                },
+            )
+            assert run_command(["infer", prob, "--out", str(tmp_path / "x.json")]) == 3
+            assert capsys.readouterr().err.startswith("error:math:")
 
     @pytest.mark.parametrize("coefficients, bound", [([1, 0], math.inf), ([math.nan, 1], 0.5)])
     def test_infer_non_finite_constraint_is_data_error(self, docs, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -23,14 +24,17 @@ from possinfo import (
 )
 from possinfo.inference import _position_weights, _solve_integer, _system
 from possinfo.measures import _log_weights
-from possinfo.simplex import feasible_point, solve_lp
+from simplex import feasible_point, solve_lp
 
 from conftest import (
+    _base_rows,
     _max_u_vertices,
     _region_vertices,
     max_u_by_orderings,
     min_distance_by_descent,
+    violation_by_arrangement,
 )
+from test_solver_answers import ANSWERS, answer_problems
 
 LN2 = math.log(2.0)
 
@@ -95,6 +99,18 @@ EXTREME_ROWS = [
     # exactly feasible optima that a float recheck at 1e-7 absolute tolerance rejected
     (LinearConstraint((2e300, 1e300), "=", 2e300 + 1e300 * 1 / 10), (0.55, 1.0)),
     (LinearConstraint((3e300, 7e300), "=", 3e300 + 7e300 * 7 / 10), (1.0, 0.7000000000000001)),
+]
+
+# (rows, lexicographically largest minimizer of the summed violation, its value)
+INFEASIBLE_ROWS = [
+    pytest.param((((1, 0), ">=", 0.8), ((1, 0), "<=", 0.3)), (0.8, 1.0), 0.5, id="two_labels"),
+    # least on all of [0.8, 0.9]; a "<=" row whose bound the origin meets is not held hard
+    pytest.param((((1,), "<=", 0.5), ((1,), ">=", 0.8), ((1,), ">=", 0.9)), (0.9,), 0.4,
+                 id="one_label_le"),
+    pytest.param((((-1,), ">=", -0.5), ((1,), ">=", 0.8), ((1,), ">=", 0.9)), (0.9,), 0.4,
+                 id="one_label_ge"),
+    pytest.param((((1, 0), ">=", 1.5e308), ((0, 1), ">=", 1.6e308)), (1.0, 1.0), math.inf,
+                 id="beyond_float_range"),
 ]
 
 
@@ -366,11 +382,13 @@ class TestSolveMaxU:
             expected = math.log(k) + 0.5 * (math.log(k + 1) - math.log(k))
             assert sol.objective_value == pytest.approx(expected, abs=1e-12)
 
-    def test_infeasible_reports_witness(self):
-        cons = (LinearConstraint((1, 0), ">=", 0.8), LinearConstraint((1, 0), "<=", 0.3))
+    @pytest.mark.parametrize("rows, point, total", INFEASIBLE_ROWS)
+    def test_infeasible_reports_witness(self, rows, point, total):
+        cons = tuple(LinearConstraint(*row) for row in rows)
         with pytest.raises(InfeasibleProblemError) as exc:
-            solve_max_u(problem(("a", "b"), cons))
-        assert exc.value.witness["total_violation"] == pytest.approx(0.5, abs=1e-12)
+            solve_max_u(problem(tuple("ab"[:len(point)]), cons))
+        assert exc.value.witness["best_point"] == point
+        assert exc.value.witness["total_violation"] == pytest.approx(total, abs=1e-12)
 
     def test_normalization_infeasibility_detected(self):
         cons = (LinearConstraint((1, 0), "<=", 0.5), LinearConstraint((0, 1), "<=", 0.5))
@@ -426,6 +444,73 @@ class TestSolveMaxU:
             lhs = float(np.dot(c, sol.distribution.values))
             assert lhs >= cons[0].bound - 1e-7
             assert sol.distribution.is_normalized
+
+
+class TestInfeasibilityWitness:
+    """The witness against the arrangement-vertex oracle, and against phase 1 where that is exact."""
+
+    @staticmethod
+    def witness(prob):
+        with pytest.raises(InfeasibleProblemError) as exc:
+            (solve_max_u if isinstance(prob.objective, MaxU) else solve_min_distance)(prob)
+        return exc.value.witness
+
+    def test_pinned_problems_match_arrangement_oracle(self):
+        expected = json.loads(ANSWERS.read_text())
+        problems = [p for p, e in zip(answer_problems(), expected)
+                    if e.get("error", "").startswith("constraints are infeasible")]
+        assert len(problems) == 22
+        for prob in problems:
+            best, point = violation_by_arrangement(prob)
+            assert self.witness(prob) == {"best_point": tuple(float(x) for x in point),
+                                          "total_violation": float(best)}
+
+    def test_random_problems_match_arrangement_oracle(self, rng):
+        checked = 0
+        for k in range(150):
+            n = int(rng.integers(1, 5))
+            cons = []
+            for _ in range(int(rng.integers(1, 5))):
+                grid = rng.random() < 0.75
+                c = rng.integers(-10, 11, n) / 10.0 if grid else rng.uniform(-1.0, 1.0, n)
+                if not np.any(c):
+                    c[0] = 1.0
+                bound = rng.integers(-5, 16) / 10.0 if grid else rng.uniform(-0.5, 1.5)
+                cons.append(LinearConstraint(tuple(c), str(rng.choice(["<=", ">=", "="])), bound))
+            prob = problem(tuple(f"x{i}" for i in range(n)), tuple(cons), normalized=k % 2 == 0)
+            try:
+                solve_max_u(prob)
+                continue
+            except InfeasibleProblemError as exc:
+                witness = exc.witness
+            best, point = violation_by_arrangement(prob)
+            if not best:
+                assert witness == {"normalized": False}
+                continue
+            assert witness == {"best_point": tuple(float(x) for x in point),
+                               "total_violation": float(best)}
+            checked += 1
+        assert checked >= 60
+
+    def test_value_matches_phase_one_when_every_row_has_an_artificial(self, rng):
+        # the origin violates every ">=" row with a positive bound, so phase 1
+        # gives each one an artificial variable and holds only the box hard
+        checked = 0
+        for k in range(200):
+            n = int(rng.integers(1, 5))
+            cons = []
+            for _ in range(int(rng.integers(1, 4))):
+                c = rng.integers(-10, 11, n) / 10.0
+                if not np.any(c):
+                    c[0] = 1.0
+                cons.append(LinearConstraint(tuple(c), ">=", float(rng.integers(1, 21) / 10.0)))
+            prob = problem(tuple(f"x{i}" for i in range(n)), tuple(cons), normalized=k % 2 == 0)
+            res = feasible_point(n, _base_rows(prob))
+            if res.status == "optimal":
+                continue
+            assert self.witness(prob)["total_violation"] == float(res.violation)
+            checked += 1
+        assert checked >= 50
 
 
 class TestSolveMinDistance:

@@ -10,6 +10,8 @@ work, which may change while every answer stays.
 Rewrite the file only for an intended and explained answer change:
 
     PYTHONPATH=src python tests/test_solver_answers.py
+
+which prints every entry it changes (index, old and new) before writing.
 """
 
 import hashlib
@@ -112,6 +114,11 @@ def test_answers_match_the_committed_file():
 
 if __name__ == "__main__":
     entries = [answer(p) for p in answer_problems()]
+    old = json.loads(ANSWERS.read_text()) if ANSWERS.exists() else []
+    for i, entry in enumerate(entries):
+        before = old[i] if i < len(old) else None
+        if before != entry:
+            print(f"#{i}\n  old: {json.dumps(before)}\n  new: {json.dumps(entry)}")
     ANSWERS.parent.mkdir(exist_ok=True)
     ANSWERS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} answers to {ANSWERS}")
