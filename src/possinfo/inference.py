@@ -15,6 +15,11 @@ direction.  Max-U takes only the patterns with at most one tie group (see
 ``solve_max_u``).  ``brute_force_oracle``, a grid scan, checks both in the tests.
 When nothing is admissible, the same search, scoring summed violation over
 the box, names the nearest point (see ``_ViolationSearch``).
+
+A row's relation means the interval its excess a.v - b may take
+(``_EXCESS``).  One float pass (``outside``) and one exact function
+(``exact_violations``) measure how far points fall outside those
+intervals, for the feasibility checks and the witness alike.
 """
 
 import itertools
@@ -33,7 +38,7 @@ _MIN_DIST_SIZE = 6
 _ORACLE_SIZE = 4
 _ORACLE_RESOLUTIONS = (0.1, 0.05, 0.02, 0.01)
 _FEAS_TOL = 1e-7
-_RELS = ("<=", ">=", "=")
+_EXCESS = {"<=": (-math.inf, 0.0), ">=": (0.0, math.inf), "=": (0.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class LinearConstraint:
         object.__setattr__(self, "bound", float(self.bound))
         if not all(map(math.isfinite, (*self.coefficients, self.bound))):
             raise ValueError("coefficients and bound must be finite")
-        if self.relation not in _RELS:
-            raise ValueError(f"relation must be one of {_RELS}, got {self.relation!r}")
+        if self.relation not in _EXCESS:
+            raise ValueError(f"relation must be one of {tuple(_EXCESS)}, got {self.relation!r}")
         if not any(c != 0.0 for c in self.coefficients):
             raise ValueError("a constraint needs at least one nonzero coefficient")
 
@@ -112,24 +117,10 @@ def _position_weights(n):
     return [Fraction(0), *map(Fraction, _log_weights(n).tolist())]
 
 
-def _integer_rows(problem):
-    """Constraint rows scaled exactly to integers (floats are dyadic rationals)."""
-    rows = []
-    for c in problem.constraints:
-        exact = [Fraction(a) for a in c.coefficients] + [Fraction(c.bound)]
-        scale = math.lcm(*(x.denominator for x in exact))
-        ints = [int(x * scale) for x in exact]
-        rows.append((ints[:-1], c.relation, ints[-1]))
-    return rows
-
-
-def _satisfies(rows, numerators, den):
-    """Whether the point numerators / den satisfies every integer row."""
-    for coeffs, rel, bound in rows:
-        lhs = sum(a * x for a, x in zip(coeffs, numerators))
-        if (rel != ">=" and lhs > bound * den) or (rel != "<=" and lhs < bound * den):
-            return False
-    return True
+def _over_common_den(fractions):
+    """(numerators, den): rationals written over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (den // x.denominator) for x in fractions], den
 
 
 def _solve_integer(matrix, rhs):
@@ -206,9 +197,8 @@ def _system(rows, groups, chosen, line):
 def _exact_point(rows, n, chosen, system, fixed):
     """The exact point whose solved groups satisfy the chosen rows, ``fixed`` giving the rest."""
     _, solved, inverse, den = system
-    rhs = [rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items()) for r in chosen]
-    scale = math.lcm(*(x.denominator for x in rhs))
-    ints = [int(x * scale) for x in rhs]
+    ints, scale = _over_common_den([rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items())
+                                    for r in chosen])
     point = dict(fixed)
     for g, row in zip(solved, inverse):
         point.update(dict.fromkeys(g, Fraction(sum(a * b for a, b in zip(row, ints)), den * scale)))
@@ -240,13 +230,20 @@ class _VertexSearch:
         self.metric = getattr(problem.objective, "metric", None)
         self.normalized = problem.require_normalized
         self.prior = np.asarray(problem.objective.prior.values if self.metric else [], dtype=float)
-        self.rows = _integer_rows(problem)
-        # each row shifted by a power of two to a largest magnitude in (1/2, 1]:
+        # each row scaled exactly to integers (floats are dyadic rationals)
+        ints = [_over_common_den([*map(Fraction, c.coefficients), Fraction(c.bound)])[0]
+                for c in problem.constraints]
+        self.rows = [(r[:-1], c.relation, r[-1]) for r, c in zip(ints, problem.constraints)]
+        # and shifted by a power of two to a largest magnitude in (1/2, 1]:
         # the same hyperplane, and no float overflow in the passes below
-        self.shifts = [(max(map(abs, (*a, b))) - 1).bit_length() for a, _, b in self.rows]
-        self.a = np.array([[x / (1 << s) for x in a] for (a, _, _), s
-                           in zip(self.rows, self.shifts)]).reshape(-1, self.n)
-        self.b = np.array([b / (1 << s) for (_, _, b), s in zip(self.rows, self.shifts)])
+        self.shifts = [(max(map(abs, r)) - 1).bit_length() for r in ints]
+        self.a = np.array([[x / (1 << s) for x in r[:-1]] for r, s
+                           in zip(ints, self.shifts)]).reshape(-1, self.n)
+        b = [r[-1] / (1 << s) for r, s in zip(ints, self.shifts)]
+        self.b = np.array(b)
+        # the interval a.v may take: b plus its excess's interval
+        self.low, self.high = (np.array([x + _EXCESS[rel][end] for x, (_, rel, _)
+                                         in zip(b, self.rows)]) for end in (0, 1))
         self.consts = np.array(sorted({0.0, 1.0, *self.prior.tolist()}))
         self.weights = _position_weights(self.n)
         self.grids = {}
@@ -312,17 +309,24 @@ class _VertexSearch:
         roots = lo + (hi - lo) * flo / (flo - fhi)
         return system, values[row], points[row] + roots[:, None] * step
 
+    def outside(self, points):
+        """Per point and row, how far a.v lies outside the row's interval (<= 0 inside), shifted."""
+        av = points @ self.a.T
+        return np.maximum(av - self.high, self.low - av)
+
     def feasible(self, points):
         ok = ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
-        for a, b, (_, rel, _) in zip(self.a, self.b, self.rows):
-            excess = points @ a - b
-            ok &= {"<=": excess, ">=": -excess, "=": np.abs(excess)}[rel] <= _FEAS_TOL
-        return ok
+        return ok & (self.outside(points) <= _FEAS_TOL).all(axis=1)
+
+    def exact_violations(self, point):
+        """(den, den times how far each integer row's a.v lies outside its interval), exactly."""
+        numerators, den = _over_common_den(point)
+        excess = [(sum(a * x for a, x in zip(coeffs, numerators)) - bound * den, rel)
+                  for coeffs, rel, bound in self.rows]
+        return den, [max(e if rel != ">=" else 0, -e if rel != "<=" else 0) for e, rel in excess]
 
     def exact_feasible(self, point):
-        den = math.lcm(*(x.denominator for x in point))
-        numerators = [int(x * den) for x in point]
-        return all(0 <= x <= 1 for x in point) and _satisfies(self.rows, numerators, den)
+        return all(0 <= x <= 1 for x in point) and not any(self.exact_violations(point)[1])
 
     def score(self, points):
         uv = _u_of_rows(points)
@@ -400,27 +404,26 @@ def _exact_minimizers(search, ties):
 class _ViolationSearch(_VertexSearch):
     """The vertices of the rows' arrangement with the box faces, scored by summed violation.
 
-    Only the box 0 <= v <= 1 is held hard.  A point pays max(0, a.v - b)
-    for each "<=" row, max(0, b - a.v) for each ">=" row and |a.v - b| for
-    each "=" row.  That sum is convex and piecewise linear with its breaks
-    on the rows' hyperplanes, so its minimum and its lexicographically
-    largest minimizer sit at a vertex of their arrangement with {v_j = 0}
-    and {v_j = 1}: a pattern with no tie group over the constants {0, 1}.
-    Scores are in units of 2**scale, one power of two for all rows that
-    bounds every coefficient by 1, so the float pass cannot overflow.
+    Only the box 0 <= v <= 1 is held hard.  A point pays, per row, how far
+    its excess a.v - b lies outside the row's interval: max(0, a.v - b)
+    for "<=", max(0, b - a.v) for ">=" and |a.v - b| for "=".  That sum is
+    convex and piecewise linear with its breaks on the rows' hyperplanes,
+    so its minimum and its lexicographically largest minimizer sit at a
+    vertex of their arrangement with {v_j = 0} and {v_j = 1}: a pattern
+    with no tie group over the constants {0, 1}.  Scores are in units of
+    2**scale, one power of two that bounds every number of every row by 1,
+    so the float pass cannot overflow.  Row r's violation is carried into
+    them by the factor 2**units[r] from its shifted units (``outside``) and
+    by 2**(units[r] - shifts[r]) from its integer row (``exact_violations``).
     """
 
     def __init__(self, problem):
         super().__init__(InferenceProblem(problem.labels, problem.constraints, MaxU(), False))
-        rows = np.array([(*c.coefficients, c.bound) for c in problem.constraints])
-        self.scale = int(np.frexp(np.abs(rows).max())[1])
-        unit = Fraction(2) ** -self.scale
-        self.exact = [([Fraction(x) * unit for x in c.coefficients], c.relation,
-                       Fraction(c.bound) * unit) for c in problem.constraints]
-        rows = np.ldexp(rows, -self.scale)
-        self.coeffs, self.bounds = rows[:, :-1], rows[:, -1]
-        rels = np.array([c.relation for c in problem.constraints])
-        self.over, self.under = rels != ">=", rels != "<="
+        largest = np.abs([(*c.coefficients, c.bound) for c in problem.constraints]).max(axis=1)
+        exps = np.frexp(largest)[1]
+        self.scale = int(exps.max())
+        shifted = np.abs(np.column_stack([self.a, self.b])).max(axis=1)
+        self.units = exps - np.frexp(shifted)[1] - self.scale
 
     def feasible(self, points):
         return ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
@@ -429,16 +432,12 @@ class _ViolationSearch(_VertexSearch):
         return all(0 <= x <= 1 for x in point)
 
     def score(self, points):
-        excess = points @ self.coeffs.T - self.bounds
-        return (np.maximum(excess, 0.0) * self.over
-                + np.maximum(-excess, 0.0) * self.under).sum(axis=1)
+        return np.ldexp(np.maximum(self.outside(points), 0.0), self.units).sum(axis=1)
 
     def exact_score(self, point):
-        total = Fraction(0)
-        for coeffs, rel, bound in self.exact:
-            excess = sum(a * x for a, x in zip(coeffs, point)) - bound
-            total += abs(excess) if rel == "=" else max(0, excess if rel == "<=" else -excess)
-        return total
+        den, violations = self.exact_violations(point)
+        return sum(Fraction(v, den) * Fraction(2) ** (u - s)
+                   for v, u, s in zip(violations, self.units.tolist(), self.shifts))
 
 
 def _raise_infeasible(problem, context):

@@ -42,10 +42,8 @@ from possinfo.inference import (
     _MIN_DIST_SIZE,
     InferenceSolution,
     MinDistance,
-    _integer_rows,
     _position_weights,
     _raise_infeasible,
-    _satisfies,
     _solve_integer,
 )
 from possinfo.measures import _u_of_values
@@ -392,6 +390,29 @@ def violation_by_arrangement(problem):
 # maximum U by per-region vertex enumeration (the former ``solve_max_u``)
 
 
+def _scaled_to_integers(problem):
+    """The rows as (integer coefficients, relation, integer bound), the same hyperplanes.
+
+    Floats are dyadic rationals, so a row's largest denominator is a
+    multiple of all its others, and scaling by it makes every number whole.
+    """
+    rows = []
+    for c in problem.constraints:
+        exact = [Fraction(a) for a in c.coefficients] + [Fraction(c.bound)]
+        scale = max(x.denominator for x in exact)
+        rows.append(([int(a * scale) for a in exact[:-1]], c.relation, int(exact[-1] * scale)))
+    return rows
+
+
+def _meets_every_row(rows, numerators, den):
+    """Whether the exact point numerators / den satisfies every integer row."""
+    for a, rel, b in rows:
+        lhs, rhs = sum(ai * xi for ai, xi in zip(a, numerators)), b * den
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[rel]:
+            return False
+    return True
+
+
 def _pin_vertices(n, rows, pin):
     """Vertices of the region where coordinate ``pin`` holds a largest value.
 
@@ -416,7 +437,7 @@ def _pin_vertices(n, rows, pin):
                 point[j] = t
             for j, (x,) in zip(free, values):
                 point[j] = x
-            if all(0 <= x <= t for x in point) and _satisfies(rows, point, den):
+            if all(0 <= x <= t for x in point) and _meets_every_row(rows, point, den):
                 found.add(tuple(Fraction(x, den) for x in point))
     return found
 
@@ -428,7 +449,7 @@ def _region_vertices(problem):
     all j.  Each list is sorted lexicographically descending.
     """
     n = len(problem.labels)
-    rows = _integer_rows(problem)
+    rows = _scaled_to_integers(problem)
     out = []
     for i in range(n):
         unit = [int(j == i) for j in range(n)]

@@ -12,7 +12,7 @@ Variables are implicitly nonnegative; upper bounds go in as rows.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from possinfo.inference import _RELS
+_RELS = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -22,7 +23,13 @@ from possinfo import (
     solve_min_distance,
     u_uncertainty,
 )
-from possinfo.inference import _position_weights, _solve_integer, _system
+from possinfo.inference import (
+    _position_weights,
+    _solve_integer,
+    _system,
+    _VertexSearch,
+    _ViolationSearch,
+)
 from possinfo.measures import _log_weights
 from simplex import feasible_point, solve_lp
 
@@ -111,6 +118,22 @@ INFEASIBLE_ROWS = [
                  id="one_label_ge"),
     pytest.param((((1, 0), ">=", 1.5e308), ((0, 1), ">=", 1.6e308)), (1.0, 1.0), math.inf,
                  id="beyond_float_range"),
+    # rows far apart in scale: their per-row shifts and the common scale differ most
+    pytest.param((((1e-200, 0), "<=", 1e-201), ((0, 1e200), ">=", 5e199),
+                  ((1e-200, 1e-200), ">=", 1.5e-200), ((1, 1), "<=", 0.3)), (0.0, 0.5), 0.2,
+                 id="mixed_scales"),
+    pytest.param((((3e-310, 0), ">=", 5e-310), ((1, 1), "<=", 0.1)), (0.1, 0.0), 4.7e-310,
+                 id="subnormal_row"),
+]
+
+NAMES = {"<=": "le", ">=": "ge", "=": "eq"}
+
+# rows (coefficients, bound) with points of the quarter grid on them and on
+# either side; the second pair spans 900 binary orders
+ROW_PAIRS = [
+    pytest.param(((3, -1), 0.5), ((1, 2), 1.5), id="unit_scale"),
+    pytest.param(((3 * 2.0**-600, -(2.0**-600)), 0.5 * 2.0**-600),
+                 ((2.0**300, 2.0**301), 1.5 * 2.0**300), id="far_scales"),
 ]
 
 
@@ -388,7 +411,8 @@ class TestSolveMaxU:
         with pytest.raises(InfeasibleProblemError) as exc:
             solve_max_u(problem(tuple("ab"[:len(point)]), cons))
         assert exc.value.witness["best_point"] == point
-        assert exc.value.witness["total_violation"] == pytest.approx(total, abs=1e-12)
+        # relative: an absolute tolerance would accept any subnormal value
+        assert exc.value.witness["total_violation"] == pytest.approx(total, rel=1e-12)
 
     def test_normalization_infeasibility_detected(self):
         cons = (LinearConstraint((1, 0), "<=", 0.5), LinearConstraint((0, 1), "<=", 0.5))
@@ -444,6 +468,43 @@ class TestSolveMaxU:
             lhs = float(np.dot(c, sol.distribution.values))
             assert lhs >= cons[0].bound - 1e-7
             assert sol.distribution.is_normalized
+
+
+def _violation(excess, rel):
+    """How far a row whose excess a.v - b is ``excess`` is from holding: 0 when it holds."""
+    return {"<=": max(excess, 0), ">=": max(-excess, 0), "=": abs(excess)}[rel]
+
+
+class TestRowRelations:
+    """The float pre-filter and the witness's float score read each relation as the rows do."""
+
+    @pytest.mark.parametrize("rel", list(NAMES), ids=NAMES.get)
+    def test_one_label(self, rel):
+        self.check([((3,), rel, 1.5)])
+
+    @pytest.mark.parametrize("first, second", ROW_PAIRS)
+    @pytest.mark.parametrize("rels", [pytest.param(rels, id="{}_{}".format(*map(NAMES.get, rels)))
+                                      for rels in itertools.product(NAMES, repeat=2)])
+    def test_two_labels(self, first, second, rels):
+        self.check([(first[0], rels[0], first[1]), (second[0], rels[1], second[1])])
+
+    @staticmethod
+    def check(rows):
+        n = len(rows[0][0])
+        points = list(itertools.product([0.0, 0.25, 0.5, 0.75, 1.0], repeat=n))
+        excess = [[sum(Fraction(a) * Fraction(x) for a, x in zip(coeffs, p)) - Fraction(bound)
+                   for coeffs, _, bound in rows] for p in points]
+        for column in zip(*excess):  # every row has grid points on it and on either side
+            assert {(e > 0) - (e < 0) for e in column} == {-1, 0, 1}
+        violations = [[_violation(e, rel) for e, (_, rel, _) in zip(row, rows)] for row in excess]
+        cons = tuple(LinearConstraint(*row) for row in rows)
+        prob = problem(tuple("ab"[:n]), cons, normalized=False)
+        grid = np.array(points)
+        assert _VertexSearch(prob).feasible(grid).tolist() == [not any(v) for v in violations]
+        witness = _ViolationSearch(prob)
+        exact = [witness.exact_score([Fraction(x) for x in p]) for p in points]
+        assert [e * 2**witness.scale for e in exact] == [sum(v) for v in violations]
+        assert witness.score(grid).tolist() == [float(e) for e in exact]
 
 
 class TestInfeasibilityWitness:

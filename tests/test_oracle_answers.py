@@ -10,12 +10,14 @@ bit of an answer, the tie-break included, fails here.
 Rewrite the file only for an intended and explained answer change:
 
     PYTHONPATH=src python tests/test_oracle_answers.py
+
+which prints every entry it changes (index, old and new) before writing.
 """
 
 import json
 from pathlib import Path
 
-from test_solver_answers import _digest, _hex, answer_problems
+from test_solver_answers import _digest, _hex, answer_problems, rewrite
 
 from possinfo import InfeasibleProblemError, brute_force_oracle
 
@@ -55,7 +57,4 @@ def test_answers_match_the_committed_file():
 
 
 if __name__ == "__main__":
-    entries = [answer(*p) for p in oracle_problems()]
-    ANSWERS.parent.mkdir(exist_ok=True)
-    ANSWERS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-    print(f"wrote {len(entries)} answers to {ANSWERS}")
+    rewrite(ANSWERS, [answer(*p) for p in oracle_problems()])

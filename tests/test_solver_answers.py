@@ -15,6 +15,7 @@ which prints every entry it changes (index, old and new) before writing.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -103,6 +104,17 @@ def answer(problem):
     return entry
 
 
+def rewrite(path, entries):
+    """Print every entry that differs from the file's (index, old and new), then write the file."""
+    old = json.loads(path.read_text()) if path.exists() else []
+    for i, (before, entry) in enumerate(itertools.zip_longest(old, entries)):
+        if before != entry:
+            print(f"#{i}\n  old: {json.dumps(before)}\n  new: {json.dumps(entry)}")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"wrote {len(entries)} answers to {path}")
+
+
 def test_answers_match_the_committed_file():
     expected = json.loads(ANSWERS.read_text())
     assert len(expected) == COUNT
@@ -113,12 +125,4 @@ def test_answers_match_the_committed_file():
 
 
 if __name__ == "__main__":
-    entries = [answer(p) for p in answer_problems()]
-    old = json.loads(ANSWERS.read_text()) if ANSWERS.exists() else []
-    for i, entry in enumerate(entries):
-        before = old[i] if i < len(old) else None
-        if before != entry:
-            print(f"#{i}\n  old: {json.dumps(before)}\n  new: {json.dumps(entry)}")
-    ANSWERS.parent.mkdir(exist_ok=True)
-    ANSWERS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-    print(f"wrote {len(entries)} answers to {ANSWERS}")
+    rewrite(ANSWERS, [answer(p) for p in answer_problems()])
