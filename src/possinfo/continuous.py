@@ -29,6 +29,7 @@ from .discrete import NORMALIZATION_TOL
 from .errors import DivergenceError, OrderViolationError
 
 _SNAP = 1e-12
+_REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
 
 
 def _float_array(values):
@@ -52,7 +53,9 @@ class PiecewisePossibility:
     piecewise-linear function the sup is attained at a breakpoint).
     The breakpoints may be given as any iterable of (x, value) pairs or as
     an n-by-2 array; ``xs`` and ``vs`` are read-only arrays, and the
-    ``points`` tuple is built from them on each access.
+    ``points`` tuple is built from them on each access.  Values compare
+    equal only to values of the same type (``measures.Tau`` is a subclass)
+    and pickle and copy through their breakpoint array.
     """
 
     __slots__ = ("_xs", "_vs", "is_normalized")
@@ -79,10 +82,13 @@ class PiecewisePossibility:
         object.__setattr__(self, "is_normalized", bool(vs.max() >= 1.0 - NORMALIZATION_TOL))
 
     def __setattr__(self, name, value):
-        raise AttributeError("PiecewisePossibility is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (np.column_stack((self._xs, self._vs)),)
 
     def __eq__(self, other):
-        if not isinstance(other, PiecewisePossibility):
+        if type(other) is not type(self):
             return NotImplemented
         return self.points == other.points
 
@@ -90,7 +96,7 @@ class PiecewisePossibility:
         return hash(self.points)
 
     def __repr__(self):
-        return f"PiecewisePossibility({len(self._xs)} breakpoints)"
+        return f"{type(self).__name__}({len(self._xs)} breakpoints)"
 
     @property
     def points(self):
@@ -194,6 +200,9 @@ class LevelMeasure:
 
     def __setattr__(self, name, value):
         raise AttributeError("LevelMeasure is immutable")
+
+    def __reduce__(self):
+        return LevelMeasure, (self._b, self._c, self.total)
 
     def __eq__(self, other):
         if not isinstance(other, LevelMeasure):
@@ -333,14 +342,14 @@ def _quad_inverse_points(c, ya, yb, pa, pb, tol):
     return j[order], x[order], y[order]
 
 
-def rearrange(level, tol=1e-9):
+def rearrange(level):
     """Descending rearrangement: the generalized inverse of a level measure.
 
     Returns the nonincreasing function f~ on [0, 1] with
     measure{f~ >= a} = P(a) for every level a.  Linear pieces invert
     exactly; quadratic pieces are inverted by the closed-form root of the
     anchored quadratic at adaptively inserted breakpoints until the
-    interpolant is within ``tol`` sup-norm.
+    interpolant is within 1e-9 sup-norm.
     The insertion is breadth-first over all quadratic pieces at once and
     yields the same points as refining each piece depth-first.  Plateaus
     of P (possible only at its extreme values for measures built here)
@@ -356,7 +365,7 @@ def rearrange(level, tol=1e-9):
     quad = (pa > pb) & (c[:, 2] != 0.0)
     lin = np.flatnonzero(~quad)
     q = np.flatnonzero(quad)
-    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q], tol)
+    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q], _REARRANGE_TOL)
 
     # Piece k, from the top level down, contributes (pb, yb) and then
     # (pa, ya) when linear or its refinement points when quadratic.

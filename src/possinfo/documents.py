@@ -221,7 +221,7 @@ def serialize_distribution(obj, metadata=None):
 
 
 def serialize_tau(tau):
-    return f'{{"kind": "tau", "points": {_points_json(zip(tau.ts, tau.taus))}}}\n'
+    return f'{{"kind": "tau", "points": {_points_json(tau.points)}}}\n'
 
 
 def emit_csv(data, path):

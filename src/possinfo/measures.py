@@ -16,10 +16,9 @@ assignments; H is additive over min-products whenever both pairwise meets
 stay normalized (see tests for a counterexample without that condition).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .continuous import PiecewisePossibility
 from .discrete import (
     DiscreteDistribution,
     JointDistribution,
@@ -78,46 +77,32 @@ def u_uncertainty(d):
     return _u_of_values(_values_of(d))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Tau:
+class Tau(PiecewisePossibility):
     """Monotone piecewise-linear reparameterization of [0, 1] onto itself.
 
-    Stored as breakpoints (t, tau(t)) with t strictly increasing from 0 to
-    1 and tau nondecreasing from 0 to 1; evaluation interpolates linearly.
+    A ``PiecewisePossibility`` (so it stores, evaluates, hashes and
+    pickles its breakpoints as that type does) whose values are
+    nondecreasing from tau(0) = 0 to tau(1) = 1; ``ts`` and ``taus`` are
+    its ``xs`` and ``vs``.
     """
 
-    ts: tuple
-    taus: tuple
+    __slots__ = ()
+    ts = PiecewisePossibility.xs
+    taus = PiecewisePossibility.vs
 
     def __init__(self, breakpoints):
-        pts = [(float(t), float(v)) for t, v in breakpoints]
-        if len(pts) < 2:
-            raise ValueError("tau needs at least the two endpoint breakpoints")
-        ts = [t for t, _ in pts]
-        vs = [v for _, v in pts]
-        if ts[0] != 0.0 or ts[-1] != 1.0:
-            raise ValueError("tau breakpoints must start at t=0 and end at t=1")
-        if vs[0] != 0.0 or vs[-1] != 1.0:
+        super().__init__(breakpoints)
+        if self.vs[0] != 0.0 or self.vs[-1] != 1.0:
             raise ValueError("tau must map 0 to 0 and 1 to 1")
-        if any(not b > a for a, b in zip(ts, ts[1:])):
-            raise ValueError("t-coordinates must be strictly increasing")
-        if any(not b >= a for a, b in zip(vs, vs[1:])):
+        if not (self.vs[1:] >= self.vs[:-1]).all():
             raise ValueError("tau-coordinates must be nondecreasing")
-        object.__setattr__(self, "ts", tuple(ts))
-        object.__setattr__(self, "taus", tuple(vs))
-
-    def __repr__(self):
-        return f"Tau({len(self.ts)} breakpoints)"
-
-    def __call__(self, t):
-        return np.interp(t, self.ts, self.taus)
 
     @classmethod
     def identity(cls):
         return cls([(0.0, 0.0), (1.0, 1.0)])
 
     def is_identity(self):
-        return self.ts == self.taus
+        return np.array_equal(self.xs, self.vs)
 
     @classmethod
     def from_function(cls, fn, n_breakpoints=1001):
@@ -130,7 +115,7 @@ class Tau:
         return cls(list(zip(ts.tolist(), [float(fn(t)) for t in ts])))
 
     def is_strictly_increasing(self):
-        return all(b > a for a, b in zip(self.taus, self.taus[1:]))
+        return bool((self.vs[1:] > self.vs[:-1]).all())
 
 
 def info_tau(d, tau):
@@ -171,7 +156,6 @@ def big_g(d1, d2, tau=None):
     assignments may collapse to distance zero unless tau is strictly
     increasing.
     """
-    _require_same_labels(d1, d2)
     measure = _functional(tau)
     top = measure(join(d1, d2))
     return (top - measure(d1)) + (top - measure(d2))
@@ -183,7 +167,6 @@ def big_h(d1, d2, tau=None):
     Not a metric (it vanishes on distinct assignments with a common meet
     height); additive over min-products when both meets are normalized.
     """
-    _require_same_labels(d1, d2)
     measure = _functional(tau)
     bottom = measure(meet(d1, d2))
     return (measure(d1) - bottom) + (measure(d2) - bottom)
@@ -191,7 +174,6 @@ def big_h(d1, d2, tau=None):
 
 def big_k(d1, d2, tau=None):
     """Max-form distance: max of the two join gaps.  A metric on normalized assignments."""
-    _require_same_labels(d1, d2)
     measure = _functional(tau)
     top = measure(join(d1, d2))
     return max(top - measure(d1), top - measure(d2))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,19 @@ def test_value_classes_are_immutable(name):
     for attribute in attributes:
         with pytest.raises(AttributeError):
             setattr(value, attribute, None)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_classes_pickle_and_copy(name, clone):
+    value = VALUE_CLASSES[name][0]()
+    back = clone(value)
+    assert type(back) is type(value)
+    assert back == value
 
 
 class TestConstruction:

@@ -7,6 +7,7 @@ from possinfo import (
     DiscreteDistribution,
     JointDistribution,
     OrderViolationError,
+    PiecewisePossibility,
     Tau,
     big_g,
     big_h,
@@ -146,8 +147,27 @@ class TestTau:
 
     @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan)])
     def test_nan_breakpoint_rejected(self, point):
-        with pytest.raises(ValueError, match="increasing|nondecreasing"):
+        # a NaN value fails the curve's [0, 1] range check before any tau rule
+        if math.isnan(point[0]):
+            message = "increasing|nondecreasing"
+        else:
+            message = r"^value at breakpoint 1 outside \[0, 1\]: nan$"
+        with pytest.raises(ValueError, match=message):
             Tau([(0.0, 0.0), point, (1.0, 1.0)])
+
+    def test_is_the_curve_of_its_points_but_never_equal_to_it(self):
+        points = [(0.0, 0.0), (0.3, 0.1), (0.7, 0.7), (1.0, 1.0)]
+        tau, curve = Tau(points), PiecewisePossibility(points)
+        grid = np.concatenate((np.linspace(0.0, 1.0, 1001), [0.3, 0.7, 1.0 / 3.0]))
+        assert np.array_equal(tau(grid), curve(grid))
+        assert tau.points == curve.points
+        assert tau != curve and curve != tau
+
+    def test_from_function_tabulates_each_point(self):
+        ts = np.linspace(0.0, 1.0, 101)
+        tau = Tau.from_function(lambda t: t * t, 101)
+        assert tau.ts.tolist() == ts.tolist()
+        assert tau.taus.tolist() == [float(t * t) for t in ts]
 
     def test_identity_reduces_to_u(self, rng):
         ident = Tau.identity()
