@@ -52,37 +52,40 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("uncertainty", help="U (or deformed) uncertainty of a discrete distribution")
+    p.set_defaults(handler=_cmd_uncertainty)
     p.add_argument("file")
     p.add_argument("--tau", help="tau document for the deformed information function")
     p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
 
     p = sub.add_parser("info", help="information value of a continuous distribution")
+    p.set_defaults(handler=_cmd_info)
     p.add_argument("file")
     p.add_argument("--bits", action="store_true")
 
     p = sub.add_parser("distance", help="information distance between two distributions")
+    p.set_defaults(handler=_cmd_distance)
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--metric", required=True, choices=["g", "G", "H", "K"])
     p.add_argument("--continuous", action="store_true")
 
     p = sub.add_parser("rearrange", help="descending rearrangement of a continuous distribution")
+    p.set_defaults(handler=_cmd_rearrange)
     p.add_argument("file")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("approx", help="discrete convergence series toward info(f)")
+    p.set_defaults(handler=_cmd_approx)
     p.add_argument("file")
     p.add_argument("--n", required=True, help="comma-separated increasing sample counts")
     p.add_argument("--csv", required=True)
 
     p = sub.add_parser("infer", help="solve a maximum-uncertainty or minimum-distance problem")
+    p.set_defaults(handler=_cmd_infer)
     p.add_argument("problem_file")
     p.add_argument("--out", required=True)
 
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def _read(path):
@@ -159,14 +162,7 @@ def _cmd_infer(args):
         fh.write(text)
 
 
-_HANDLERS = {
-    "uncertainty": _cmd_uncertainty,
-    "info": _cmd_info,
-    "distance": _cmd_distance,
-    "rearrange": _cmd_rearrange,
-    "approx": _cmd_approx,
-    "infer": _cmd_infer,
-}
+_PARSER = _build_parser()
 
 
 def _fail(category, message, code):
@@ -178,7 +174,7 @@ def run_command(argv):
     """Run one CLI invocation; returns the process exit code."""
     try:
         args = _PARSER.parse_args(argv)
-        _HANDLERS[args.command](args)
+        args.handler(args)
         return 0
     except _UsageError as e:
         return _fail("usage", str(e), 1)

@@ -30,6 +30,7 @@ from .errors import DivergenceError, OrderViolationError
 
 _SNAP = 1e-12
 _REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _float_array(values):
@@ -48,9 +49,10 @@ class PiecewisePossibility:
     """Piecewise-linear function on [0, 1] with values in [0, 1].
 
     Breakpoints have strictly increasing x from exactly 0 to exactly 1;
-    values interpolate linearly in between.  Normalized means the maximum
-    breakpoint value reaches 1 within ``NORMALIZATION_TOL`` (for a
-    piecewise-linear function the sup is attained at a breakpoint).
+    values interpolate linearly in between, finite and inside [0, 1] in
+    segments of any width.  Normalized means the maximum breakpoint value
+    reaches 1 within ``NORMALIZATION_TOL`` (for a piecewise-linear
+    function the sup is attained at a breakpoint).
     The breakpoints may be given as any iterable of (x, value) pairs or as
     an n-by-2 array; ``xs`` and ``vs`` are read-only arrays, and the
     ``points`` tuple is built from them on each access.  Values compare
@@ -58,7 +60,7 @@ class PiecewisePossibility:
     and pickle and copy through their breakpoint array.
     """
 
-    __slots__ = ("_xs", "_vs", "is_normalized")
+    __slots__ = ("_xs", "_vs", "is_normalized", "_narrow")
 
     def __init__(self, points):
         pts = _float_array(points)
@@ -80,6 +82,8 @@ class PiecewisePossibility:
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_vs", vs)
         object.__setattr__(self, "is_normalized", bool(vs.max() >= 1.0 - NORMALIZATION_TOL))
+        # np.interp's slope |dv| / dx can overflow only if dx <= 2**-1024, below 2**-971
+        object.__setattr__(self, "_narrow", bool(xs[1] < 2.0**-971))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -90,7 +94,7 @@ class PiecewisePossibility:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.points == other.points
+        return np.array_equal(self._xs, other._xs) and np.array_equal(self._vs, other._vs)
 
     def __hash__(self):
         return hash(self.points)
@@ -115,7 +119,12 @@ class PiecewisePossibility:
         return float(self._vs.max())
 
     def __call__(self, x):
-        return np.interp(x, self._xs, self._vs)
+        y = np.interp(x, self._xs, self._vs)
+        if self._narrow and not np.isfinite(y).all():
+            # scaled by 2**1000, every slope is finite and no coordinate loses a bit
+            scaled = np.interp(np.clip(x, 0.0, 1.0) * 2.0**1000, self._xs * 2.0**1000, self._vs)
+            y = np.where(np.isfinite(y), y, scaled)[()]
+        return y
 
 
 def sample_function(evaluator, n_breakpoints):
@@ -207,11 +216,8 @@ class LevelMeasure:
     def __eq__(self, other):
         if not isinstance(other, LevelMeasure):
             return NotImplemented
-        return (
-            self.bounds == other.bounds
-            and self.coeffs == other.coeffs
-            and self.total == other.total
-        )
+        return (self.total == other.total and np.array_equal(self._b, other._b)
+                and np.array_equal(self._c, other._c))
 
     def __hash__(self):
         return hash((self.bounds, self.coeffs, self.total))
@@ -305,15 +311,15 @@ def _invert(c, ya, yb, x):
     return np.clip(yb + t, ya, yb)
 
 
-def _quad_inverse_points(c, ya, yb, pa, pb, tol):
+def _quad_inverse_points(c, ya, yb, pa, pb):
     """Sampled inverse graphs of quadratic pieces, refined breadth-first.
 
     The graph of piece j runs from (pb[j], yb[j]) to (pa[j], ya[j]).  An
     interval is halved until the chord midpoint is within tol/2 of the
-    true inverse, which bounds the sup-norm error of the interpolant by
-    tol for the convex/concave inverse of a monotone quadratic.  All
-    intervals of one depth are inverted together.  Returns the piece, x
-    and y of every final interval's right end, sorted by piece and x.
+    true inverse, tol = ``_REARRANGE_TOL`` bounding the interpolant's
+    sup-norm error for the convex/concave inverse of a monotone quadratic.
+    All intervals of one depth are inverted together.  Returns the piece,
+    x and y of every final interval's right end, sorted by piece and x.
     """
     found = []
     j = np.arange(len(c))
@@ -325,7 +331,7 @@ def _quad_inverse_points(c, ya, yb, pa, pb, tol):
         s = np.flatnonzero(~(x1 - x0 <= 8e-15))
         xm = 0.5 * (x0[s] + x1[s])
         ym = _invert(c[j[s]], ya[j[s]], yb[j[s]], xm)
-        far = ~(np.abs(ym - 0.5 * (y0[s] + y1[s])) <= 0.5 * tol)
+        far = ~(np.abs(ym - 0.5 * (y0[s] + y1[s])) <= 0.5 * _REARRANGE_TOL)
         done = np.ones(len(j), dtype=bool)
         done[s[far]] = False
         found.append((j[done], x1[done], y1[done]))
@@ -365,7 +371,7 @@ def rearrange(level):
     quad = (pa > pb) & (c[:, 2] != 0.0)
     lin = np.flatnonzero(~quad)
     q = np.flatnonzero(quad)
-    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q], _REARRANGE_TOL)
+    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q])
 
     # Piece k, from the top level down, contributes (pb, yb) and then
     # (pa, ya) when linear or its refinement points when quadratic.
@@ -436,22 +442,37 @@ def _piece_integrals(c, w, h):
     d0, d1, d2 = c.T
     out = np.zeros(len(c))
 
-    def root_terms(r, k):
-        x = np.divide(w[k], r, out=np.zeros_like(r), where=r != 0.0)
-        return w[k] + (h[k] - r) * np.log1p(x)
+    def root_terms(num, den, k):
+        # w + (h - r) ln(1 + w/r), r = num / den.  Off r's normal range, ln(w/r) comes from
+        # frexp of w, den and num, and an overflowed r takes the limit r ln(1 + w/r) -> w
+        wk, hk = w[k], h[k]
+        with np.errstate(over="ignore"):
+            r = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        a = np.abs(r)
+        odd = ((a < _TINY) & (num != 0.0)) | (a > _HUGE)
+        if not odd.any():
+            return wk + (hk - r) * np.log1p(np.divide(wk, r, out=np.zeros_like(r), where=r != 0.0))
+        (mw, ew), (md, ed), (mn, en) = (np.frexp(v[odd]) for v in (wk, den, num))
+        lw = np.logaddexp(0.0, np.log(mw * md / mn) + (ew + ed - en) * math.log(2.0))
+        terms = np.empty_like(r)
+        terms[~odd] = root_terms(num[~odd], den[~odd], k[~odd])
+        r_odd = np.clip(r[odd], -_HUGE, _HUGE)  # so that r ln(1 + w/r) is never inf * 0
+        terms[odd] = hk[odd] * lw + np.where(a[odd] > 1.0, 0.0, wk[odd] - r_odd * lw)
+        return terms
 
     k = np.flatnonzero((d2 == 0.0) & (d1 != 0.0))  # linear: one root, at d0 / -d1
-    out[k] = root_terms(d0[k] / -d1[k], k)
+    out[k] = root_terms(d0[k], -d1[k], k)
 
     quad = np.flatnonzero(d2 != 0.0)
+    if not quad.size:  # level_measure builds linear pieces only
+        return out
     disc = d1[quad] * d1[quad] - 4.0 * d0[quad] * d2[quad]
     real = disc >= 0.0
     # two real roots q / d2 and d0 / q, with q = (sqrt(disc) - d1) / 2 >= 0
     # free of cancellation; q = 0 only for a double root at t = 0
     k = quad[real]
     q = 0.5 * (np.sqrt(disc[real]) - d1[k])
-    r2 = np.divide(d0[k], q, out=np.zeros_like(q), where=q != 0.0)
-    out[k] = root_terms(q / d2[k], k) + root_terms(r2, k)
+    out[k] = root_terms(q, d2[k], k) + root_terms(d0[k], q, k)
 
     k, disc = quad[~real], disc[~real]
     wk, a = w[k], -d1[k] / (2.0 * d2[k])
@@ -528,8 +549,9 @@ def product_level(p1, p2):
         return LevelMeasure(bounds, coeffs, p1.total * p2.total)
 
 
-def _merged_grid(f1, f2):
-    xs = np.unique(np.concatenate((f1.xs, f2.xs)))
+def _pointwise(op, f1, f2):
+    """op (np.minimum or np.maximum) of two curves on their breakpoints and crossings, exact."""
+    xs = np.union1d(f1.xs, f2.xs)
     d = f1(xs) - f2(xs)
     d0, d1 = d[:-1], d[1:]
     cross = ((d0 > _SNAP) & (d1 < -_SNAP)) | ((d0 < -_SNAP) & (d1 > _SNAP))
@@ -537,19 +559,17 @@ def _merged_grid(f1, f2):
         a, b = xs[:-1][cross], xs[1:][cross]
         d0, d1 = d0[cross], d1[cross]
         xs = np.unique(np.concatenate((xs, a + d0 / (d0 - d1) * (b - a))))
-    return xs
+    return PiecewisePossibility(np.column_stack((xs, op(f1(xs), f2(xs)))))
 
 
 def meet_pw(f1, f2):
     """Pointwise min of two piecewise-linear assignments, exact."""
-    xs = _merged_grid(f1, f2)
-    return PiecewisePossibility(np.column_stack((xs, np.minimum(f1(xs), f2(xs)))))
+    return _pointwise(np.minimum, f1, f2)
 
 
 def join_pw(f1, f2):
     """Pointwise max of two piecewise-linear assignments, exact."""
-    xs = _merged_grid(f1, f2)
-    return PiecewisePossibility(np.column_stack((xs, np.maximum(f1(xs), f2(xs)))))
+    return _pointwise(np.maximum, f1, f2)
 
 
 def _info_or_inf(f):
@@ -559,23 +579,30 @@ def _info_or_inf(f):
         return math.inf
 
 
+def _gaps(fs, top):
+    """info(f) - info(top) for each f <= top; all 0 if info(top) diverges and each f is top."""
+    top_info = _info_or_inf(top)
+    if not math.isinf(top_info):
+        return [_info_or_inf(f) - top_info for f in fs]
+    grids = [np.union1d(f.xs, top.xs) for f in fs]
+    if all(np.allclose(f(xs), top(xs), rtol=0.0, atol=_SNAP) for f, xs in zip(fs, grids)):
+        return [0.0] * len(fs)
+    raise DivergenceError(
+        "distance undefined: both arguments are subnormal and their integrals diverge"
+    )
+
+
 def g_cont(lower, upper):
     """One-sided continuous distance info(lower) - info(upper).
 
-    Requires lower <= upper pointwise.  The order reverses relative to the
-    discrete U-form because info measures distance from the uniform
-    assignment and is antitone in pointwise order.  Returns +inf when the
-    lower argument is subnormal (its integral diverges) and the upper one
-    is not.
+    Requires lower <= upper pointwise, checked here on the merged
+    breakpoints.  The order reverses relative to the discrete U-form
+    because info measures distance from the uniform assignment and is
+    antitone in pointwise order.  Returns +inf when the lower argument is
+    subnormal (its integral diverges) and the upper one is not.
     """
-    return _g_cont(lower, upper)
-
-
-def _g_cont(lower, upper, upper_info=None):
-    """``g_cont``, reusing ``upper_info`` as info(upper) when it is given."""
-    xs = np.unique(np.concatenate((lower.xs, upper.xs)))
-    lv = lower(xs)
-    uv = upper(xs)
+    xs = np.union1d(lower.xs, upper.xs)
+    lv, uv = lower(xs), upper(xs)
     bad = np.nonzero(lv > uv + _SNAP)[0]
     if bad.size:
         i = int(bad[0])
@@ -583,35 +610,30 @@ def _g_cont(lower, upper, upper_info=None):
             f"pointwise order violated at x={float(xs[i]):g}: "
             f"{float(lv[i]):g} > {float(uv[i]):g}"
         )
-    if upper_info is None:
-        upper_info = _info_or_inf(upper)
-    if math.isinf(upper_info):
-        if np.allclose(lv, uv, rtol=0.0, atol=_SNAP):
-            return 0.0
-        raise DivergenceError(
-            "distance undefined: both arguments are subnormal and their integrals diverge"
-        )
-    return _info_or_inf(lower) - upper_info
+    return _gaps([lower], upper)[0]
 
 
 def big_g_cont(f1, f2):
-    """Continuous join distance; finite for normalized arguments."""
-    top = join_pw(f1, f2)
-    top_info = _info_or_inf(top)
-    return _g_cont(f1, top, top_info) + _g_cont(f2, top, top_info)
+    """Continuous join distance; finite for normalized arguments.
+
+    The join's grid holds every breakpoint of both arguments, with their
+    pointwise max as values, so each lies below it: no order check runs.
+    """
+    gap1, gap2 = _gaps((f1, f2), join_pw(f1, f2))
+    return gap1 + gap2
 
 
 def big_h_cont(f1, f2):
     """Continuous meet divergence; +inf whenever the meet is subnormal."""
-    bottom = meet_pw(f1, f2)
-    i_bottom = _info_or_inf(bottom)
+    i_bottom = _info_or_inf(meet_pw(f1, f2))
     if math.isinf(i_bottom):
         return math.inf
     return (i_bottom - _info_or_inf(f1)) + (i_bottom - _info_or_inf(f2))
 
 
 def big_k_cont(f1, f2):
-    """Continuous max-form distance; finite for normalized arguments."""
-    top = join_pw(f1, f2)
-    top_info = _info_or_inf(top)
-    return max(_g_cont(f1, top, top_info), _g_cont(f2, top, top_info))
+    """Continuous max-form distance; finite for normalized arguments.
+
+    Like ``big_g_cont``, it reads the join it builds and runs no order check.
+    """
+    return max(_gaps((f1, f2), join_pw(f1, f2)))

@@ -112,6 +112,13 @@ def _number_list(raw, where):
     return out
 
 
+def _labels(doc):
+    labels = _field(doc, "labels")
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise SchemaError("'labels' must be an array of strings")
+    return tuple(labels)
+
+
 def _point_list(raw, where):
     """Decoded JSON ``[[x, v], ...]`` as float pairs; the first malformed pair raises."""
     if not isinstance(raw, list):
@@ -145,11 +152,8 @@ def _distribution(doc):
     doc = _expect_object(doc)
     kind = _field(doc, "kind")
     if kind == "discrete":
-        labels = _field(doc, "labels")
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise SchemaError("'labels' must be an array of strings")
-        values = _number_list(_field(doc, "values"), "'values'")
-        return _construct(DiscreteDistribution, tuple(labels), values)
+        labels = _labels(doc)
+        return _construct(DiscreteDistribution, labels, _number_list(_field(doc, "values"), "'values'"))
     if kind == "piecewise_linear":
         return _construct(PiecewisePossibility, _point_list(_field(doc, "points"), "'points'"))
     raise SchemaError(f"unknown distribution kind {kind!r}")
@@ -165,9 +169,7 @@ def parse_tau(text):
 def parse_problem(text):
     """Parse an inference problem document."""
     doc = _expect_object(_load(text))
-    labels = _field(doc, "labels")
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise SchemaError("'labels' must be an array of strings")
+    labels = _labels(doc)
     raw_constraints = _field(doc, "constraints")
     if not isinstance(raw_constraints, list):
         raise SchemaError("'constraints' must be an array")
@@ -202,7 +204,7 @@ def parse_problem(text):
     if not isinstance(require_normalized, bool):
         raise SchemaError("'require_normalized' must be a boolean")
     return _construct(
-        InferenceProblem, tuple(labels), tuple(constraints), objective, require_normalized
+        InferenceProblem, labels, tuple(constraints), objective, require_normalized
     )
 
 

@@ -264,7 +264,7 @@ class _VertexSearch:
         """
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
         values = self.grid(len(fixed))
-        system = _system(self.rows, groups, chosen, line) if len(values) else None
+        system = _system(self.rows, groups, chosen, line)
         if system is None:
             return None
         pivot, solved, inverse, den = system

@@ -30,11 +30,9 @@ from .errors import OrderViolationError
 
 
 def _values_of(d):
-    if isinstance(d, JointDistribution):
-        return d.as_array().ravel()
-    if isinstance(d, DiscreteDistribution):
-        return d.as_array()
-    raise TypeError(f"expected a distribution, got {type(d).__name__}")
+    if not isinstance(d, (DiscreteDistribution, JointDistribution)):
+        raise TypeError(f"expected a distribution, got {type(d).__name__}")
+    return d.as_array().ravel()
 
 
 _WEIGHTS = np.empty(0)

@@ -377,6 +377,18 @@ ADVERSARIAL = {
     ],
     "subnormal": [(0, 0.1), (0.4, 0.6), (0.7, 0.6), (1, 0)],
     "ieee_subnormal_values": [(0, 5e-324), (0.3, 1.0), (0.6, 2.2250738585072014e-308), (1, 1e-310)],
+    # top plateaus of subnormal width: the level-side root d0 / -d1 is subnormal
+    # and w / r overflows
+    "top_plateau_1e-310_wide": [(0, 1), (1e-310, 1), (1, 0)],
+    "top_plateau_5e-324_wide": [(0, 1), (5e-324, 1), (1, 0)],
+    # a rise of subnormal width to a plateau: a root overflows the float range
+    "subnormal_rise_to_a_plateau": [
+        (0, 0.2581348800776463), (2.452e-320, 1), (2.452234255509054e-100, 1), (1, 0.2891380757433565)
+    ],
+    # a root that rounds inside the subnormal range and loses bits
+    "subnormal_root_losing_bits": [
+        (0, 1), (5e-324, 1), (3.2645942776127325e-308, 1e-16), (1, 2.2250738585072014e-308)
+    ],
 }
 # neighbouring breakpoint values one ulp apart
 NEAR_TIED = list(zip(np.linspace(0, 1, 6).tolist(), [0.5, _up(0.5), 1.0, _down(1.0), 0.25, _down(0.25)]))
@@ -462,6 +474,95 @@ class TestExtremeGaps:
         expected = 1.0 + math.log(1.0 / (1.0 - 0.1 * count))
         assert info(f) == pytest.approx(info_by_segment_levels(f), abs=1e-12)
         assert info(f) == pytest.approx(expected, abs=1e-12)
+
+
+# gaps and values of the seeded sweep: each is s, 1 - s or an ordinary draw
+EXTREMES = (5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100, 1e-16, 1e-12)
+
+
+def extreme_curve(rng):
+    """A 2-6-breakpoint curve whose gaps and values are mostly extreme, normalized 70 % of the time."""
+
+    def draw(base):
+        s = EXTREMES[rng.integers(len(EXTREMES))]
+        return (base + s, 1.0 - s, float(rng.uniform()))[rng.integers(3)]
+
+    xs = [0.0]
+    for _ in range(rng.integers(0, 5)):
+        xs.append(draw(xs[-1]))
+    xs = sorted({x for x in xs if 0.0 < x < 1.0} | {0.0, 1.0})
+    vs = [draw(0.0) for _ in xs]
+    if rng.uniform() < 0.7:
+        vs[rng.integers(len(vs))] = 1.0
+    return PiecewisePossibility(list(zip(xs, vs)))
+
+
+class TestSubnormalWidths:
+    """Segments and level-side roots below the normal float range.
+
+    The expected values are -integral_0^1 ln P(y) dy at 60 digits (mpmath).
+    """
+
+    EXPECTED_INFO = {
+        "top_plateau_1e-310_wide": 1.0,
+        "top_plateau_5e-324_wide": 1.0,
+        "subnormal_rise_to_a_plateau": 0.7108619242566435,
+        "subnormal_root_losing_bits": 709.0130731512899,
+    }
+    # f falls from 1 to 0 across [0, 1e-310]; g rises from 0 to 1 there
+    NARROW_FALL = PiecewisePossibility([(0, 1), (1e-310, 0), (1, 0)])
+    NARROW_RISE = PiecewisePossibility([(0, 0), (1e-310, 1), (1, 1)])
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_INFO))
+    def test_info_matches_high_precision_value(self, name):
+        value = info(PiecewisePossibility(ADVERSARIAL[name]))
+        assert value == pytest.approx(self.EXPECTED_INFO[name], rel=1e-12)
+
+    def test_join_distances_with_a_subnormal_width_head(self):
+        # 1 - 5e-324 rounds to 1, so the join is the ramp with a 5e-324 wide top plateau
+        head = PiecewisePossibility([(0, 1), (5e-324, 0), (1, 0)])
+        for distance in (big_g_cont, big_k_cont):
+            assert distance(RAMP_DOWN, head) == pytest.approx(744.4400719213812, rel=1e-12)
+
+    def test_evaluation_inside_a_segment_narrower_than_one_over_max_float(self):
+        f = self.NARROW_FALL
+        assert f(5e-311) == pytest.approx(0.5, abs=1e-12)
+        values = f(np.array([0.0, 2.5e-311, 5e-311, 1e-310, 0.5]))
+        assert np.allclose(values, [1.0, 0.75, 0.5, 0.0, 0.0], rtol=0.0, atol=1e-12)
+        assert self.NARROW_RISE(np.array([5e-311]))[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_meet_and_join_cross_inside_a_narrow_segment(self):
+        for combine in (meet_pw, join_pw):
+            h = combine(self.NARROW_FALL, self.NARROW_RISE)
+            assert h.xs[1] == pytest.approx(5e-311, rel=1e-12)
+            assert h.vs[1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_distances_across_a_narrow_segment(self):
+        f, g = self.NARROW_FALL, self.NARROW_RISE
+        assert big_g_cont(f, g) == pytest.approx(714.8013788281542, rel=1e-12)
+        assert big_k_cont(f, g) == pytest.approx(714.8013788281542, rel=1e-12)
+        assert big_h_cont(f, g) == math.inf
+
+    def test_seeded_sweep_of_extreme_gaps_and_values(self):
+        calls = {"info": lambda f, g: info(f), "meet_pw": meet_pw, "join_pw": join_pw,
+                 "big_g_cont": big_g_cont, "big_h_cont": big_h_cont, "big_k_cont": big_k_cont}
+        rng = np.random.default_rng(0)
+        failures = []
+        for _ in range(300):
+            f, g = extreme_curve(rng), extreme_curve(rng)
+            for name, call in calls.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = call(f, g)
+                    except DivergenceError:
+                        continue
+                    except Exception as e:  # a warning, a ValueError or anything else
+                        failures.append((name, f.points, g.points, repr(e)))
+                        continue
+                if name == "info" and not math.isfinite(value):
+                    failures.append((name, f.points, g.points, value))
+        assert failures == []
 
 
 class TestInfoFromLevel:

@@ -362,6 +362,25 @@ class TestCli:
         assert run_command(["info", path]) == 0
         assert capsys.readouterr().out == "1.510826\n"  # 1 + ln(1 / 0.6)
 
+    def test_info_of_a_subnormal_width_top_plateau(self, docs, capsys):
+        path = docs("plateau.json", {"kind": "piecewise_linear", "points": [[0, 1], [1e-310, 1], [1, 0]]})
+        assert run_command(["info", path]) == 0
+        assert capsys.readouterr() == ("1.000000\n", "")
+
+    @pytest.mark.parametrize("metric, printed", [("G", "714.801379"), ("K", "714.801379"), ("H", "inf")])
+    def test_continuous_distance_across_a_narrow_segment(self, docs, capsys, metric, printed):
+        # the curves cross halfway through [0, 1e-310], narrower than 1 / max float
+        fall = docs("fall.json", {"kind": "piecewise_linear", "points": [[0, 1], [1e-310, 0], [1, 0]]})
+        rise = docs("rise.json", {"kind": "piecewise_linear", "points": [[0, 0], [1e-310, 1], [1, 1]]})
+        assert run_command(["distance", fall, rise, "--metric", metric, "--continuous"]) == 0
+        assert capsys.readouterr() == (printed + "\n", "")
+
+    def test_uncertainty_with_a_tau_rising_across_a_narrow_segment(self, docs, capsys):
+        path = docs("two.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1.0, 5e-311]})
+        tau = docs("tau.json", {"kind": "tau", "points": [[0, 0], [1e-310, 1], [1, 1]]})
+        assert run_command(["uncertainty", path, "--tau", tau]) == 0
+        assert capsys.readouterr() == ("0.346574\n", "")  # ln 2 / 2
+
     def test_info_subnormal_is_math_error(self, docs, capsys):
         path = docs("sub.json", {"kind": "piecewise_linear", "points": [[0, 0.5], [1, 0.2]]})
         assert run_command(["info", path]) == 3

@@ -188,6 +188,11 @@ class TestTau:
                 deformed = DiscreteDistribution(d.labels, tau(d.as_array()).tolist())
             assert info_tau(d, tau) == u_uncertainty(deformed)
 
+    def test_tau_rising_across_a_segment_narrower_than_one_over_max_float(self):
+        # tau(5e-311) = 1/2 halfway up a rise of width 1e-310, so I = ln 2 / 2
+        tau = Tau([(0.0, 0.0), (1e-310, 1.0), (1.0, 1.0)])
+        assert info_tau(D(1.0, 5e-311), tau) == pytest.approx(0.5 * LN2, rel=1e-12)
+
     def test_square_deformation_example(self):
         tau = Tau.from_function(lambda t: t * t, 1001)
         got = info_tau(D(1, 0.5), tau)
