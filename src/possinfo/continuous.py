@@ -31,6 +31,7 @@ from .errors import DivergenceError, OrderViolationError
 _SNAP = 1e-12
 _REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_SQUARE_MAX = 2.0**512  # the least float whose square overflows
 
 
 def _float_array(values):
@@ -247,66 +248,59 @@ def level_measure(f):
     width / (hi - lo) exceeds the largest float over the segment count
     counts as constant at lo, so that no sum of rates overflows.
 
-    Every piece's value and slope is summed freshly over the segments
-    spanning it, so no cancellation occurs even when segment slopes vary
-    over many orders of magnitude.  The cost is one array pass over the
-    (piece, spanning segment) incidences, whose number is linear for
-    monotone or few-breakpoint inputs.
+    The bounds b are the distinct values; ``np.unique`` also gives each
+    value's index in b, so a segment spans the pieces from its lo's index
+    to its hi's, and the lo indices counted below each bound start the
+    suffix sum of full widths, sorted by lo, there.  Each piece's value
+    and slope is summed freshly over the segments spanning it, in one
+    array pass over the (piece, segment) incidences: no cancellation.
     """
-    xs, vs = f.xs, f.vs
-    x0, x1 = xs[:-1], xs[1:]
-    v0, v1 = vs[:-1], vs[1:]
-    w = x1 - x0
-    lo = np.minimum(v0, v1)
-    hi = np.maximum(v0, v1)
-
-    b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
+    vs, w = f.vs, f.xs[1:] - f.xs[:-1]
+    hi = np.maximum(vs[:-1], vs[1:])
+    b, at = np.unique(np.concatenate(([0.0, 1.0], vs)), return_inverse=True)
     K = len(b) - 1
+    first, count = np.minimum(at[2:-1], at[3:]), np.abs(at[3:] - at[2:-1])
 
     # a segment too steep for every sum of rates to be a float counts as
     # constant at its low value: its mass then enters P as a jump at lo
     with np.errstate(divide="ignore", over="ignore"):
-        rate = w / (hi - lo)
-    finite = rate <= np.finfo(float).max / len(w)
-    nz, cidx = np.flatnonzero(finite), np.flatnonzero(~finite)
-    rate = rate[nz]
+        rate = w / (hi - np.minimum(vs[:-1], vs[1:]))
+    finite = rate <= _HUGE / len(w)
 
-    # full-width mass above a level: the segments with lo >= y, summed by
-    # sorted suffix sums for non-constant and constant segments apart
-    lo_sorted = np.sort(lo[nz])
-    w_suffix = np.concatenate((np.cumsum(w[nz][np.argsort(lo[nz], kind="stable")][::-1])[::-1], [0.0]))
-    cv_sorted = np.sort(lo[cidx])
-    cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(lo[cidx], kind="stable")][::-1])[::-1], [0.0]))
+    def mass_at_or_above(k):
+        # full width of the segments k with lo >= y, at y = 0 and at b[1:]
+        suffix = np.concatenate((np.cumsum(w[k][np.argsort(first[k], kind="stable")][::-1])[::-1], [0.0]))
+        return suffix[0], suffix[np.cumsum(np.bincount(first[k], minlength=K))[:K]]
 
-    def mass_at_or_above(y):
-        i = np.searchsorted(lo_sorted, y, side="left")
-        j = np.searchsorted(cv_sorted, y, side="left")
-        return w_suffix[i] + cw_suffix[j]
+    (total, top), (total_c, top_c) = mass_at_or_above(finite), mass_at_or_above(~finite)
 
-    # a segment spans the pieces from the one starting at its low value up
-    # to the one ending at its high value: one row per incidence
-    first = np.searchsorted(b, lo[nz])
-    count = np.searchsorted(b, hi[nz]) - first
-    seg = np.repeat(np.arange(len(nz)), count)
-    piece = np.arange(len(seg)) + np.repeat(first - (np.cumsum(count) - count), count)
-
-    y_top = b[1:]
-    r = rate[seg]
+    # one row per incidence: a segment's rate and hi repeat over its pieces
+    count, rate = count[finite], rate[finite]
+    r = np.repeat(rate, count)
+    piece = np.arange(len(r)) + np.repeat(first[finite] - (np.cumsum(count) - count), count)
     m = 0.0 - np.bincount(piece, weights=r, minlength=K)
-    spanned = np.bincount(piece, weights=r * (hi[nz][seg] - y_top[piece]), minlength=K)
-    top = mass_at_or_above(y_top) + spanned
-    return LevelMeasure(b, np.column_stack((top, m, np.zeros(K))), float(mass_at_or_above(0.0)))
+    spanned = np.bincount(piece, weights=r * (np.repeat(hi[finite], count) - b[1:][piece]), minlength=K)
+    return LevelMeasure(b, np.column_stack((top + top_c + spanned, m, np.zeros(K))), float(total + total_c))
 
 
-def _invert(c, ya, yb, x):
+def _square_scale(d1):
+    """Powers of two s: 1 where d1 * d1 is finite, else taking |d1 s| below 2^511."""
+    big = ~(np.abs(d1) < _SQUARE_MAX)
+    return np.ldexp(1.0, np.where(big, 511 - np.frexp(d1)[1], 0)) if big.any() else np.ones(len(d1))
+
+
+def _invert(d0, d1, d2, ya, yb, x):
     """Solve P(y) = x on nonincreasing quadratic pieces, elementwise.
 
     With e = x - d0 >= 0 the offset t solves d2 t^2 + d1 t - e = 0; the
     root on the piece is taken in the form that adds -d1 >= 0 to the
-    square root, so it never cancels.
+    square root, so it never cancels.  Where d1 * d1 would overflow, e, d1
+    and d2 are scaled by ``_square_scale`` first, which leaves t as it is.
     """
-    e = x - c[:, 0]
-    d1, d2 = c[:, 1], c[:, 2]
+    e = x - d0
+    if not (np.abs(d1) < _SQUARE_MAX).all():
+        s = _square_scale(d1)
+        e, d1, d2 = e * s, d1 * s, d2 * s
     t = -2.0 * e / (-d1 + np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * e, 0.0)))
     return np.clip(yb + t, ya, yb)
 
@@ -318,29 +312,33 @@ def _quad_inverse_points(c, ya, yb, pa, pb):
     interval is halved until the chord midpoint is within tol/2 of the
     true inverse, tol = ``_REARRANGE_TOL`` bounding the interpolant's
     sup-norm error for the convex/concave inverse of a monotone quadratic.
-    All intervals of one depth are inverted together.  Returns the piece,
-    x and y of every final interval's right end, sorted by piece and x.
+    Each depth inverts all its intervals at once, on coefficient columns
+    gathered once, after ending those under the width floor; a halved
+    interval's halves are written side by side, keeping piece and x order.
+    Returns the piece, x and y of each final interval's right end, so sorted.
     """
-    found = []
-    j = np.arange(len(c))
+    d0, d1, d2 = (np.ascontiguousarray(col) for col in c.T)
+    found, j = [], np.arange(len(c))
     x0, y0, x1, y1 = pb, yb, pa, ya
     for _ in range(64):
-        # the 8e-15 width floor stops intervals too narrow in x to hold a
-        # useful breakpoint, where a steep inverse could otherwise fail
-        # the chord test down to depth 64
-        s = np.flatnonzero(~(x1 - x0 <= 8e-15))
-        xm = 0.5 * (x0[s] + x1[s])
-        ym = _invert(c[j[s]], ya[j[s]], yb[j[s]], xm)
-        far = ~(np.abs(ym - 0.5 * (y0[s] + y1[s])) <= 0.5 * _REARRANGE_TOL)
-        done = np.ones(len(j), dtype=bool)
-        done[s[far]] = False
-        found.append((j[done], x1[done], y1[done]))
-        s, xm, ym = s[far], xm[far], ym[far]
-        j = np.concatenate((j[s], j[s]))
-        x0, x1 = np.concatenate((x0[s], xm)), np.concatenate((xm, x1[s]))
-        y0, y1 = np.concatenate((y0[s], ym)), np.concatenate((ym, y1[s]))
-        if not s.size:
+        # the 8e-15 width floor ends intervals too narrow in x to hold a useful
+        # breakpoint, where a steep inverse could fail the chord test to depth 64
+        narrow = x1 - x0 <= 8e-15
+        if narrow.any():
+            found.append((j[narrow], x1[narrow], y1[narrow]))
+            j, x0, y0, x1, y1 = (a[~narrow] for a in (j, x0, y0, x1, y1))
+        xm = 0.5 * (x0 + x1)
+        ym = _invert(d0[j], d1[j], d2[j], ya[j], yb[j], xm)
+        near = np.abs(ym - 0.5 * (y0 + y1)) <= 0.5 * _REARRANGE_TOL
+        found.append((j[near], x1[near], y1[near]))
+        far = ~near
+        if not far.any():
             break
+        j, xm, ym = np.repeat(j[far], 2), xm[far], ym[far]
+        halves = np.empty((4, 2 * len(xm)))
+        halves[:, 0::2] = x0[far], y0[far], xm, ym
+        halves[:, 1::2] = xm, ym, x1[far], y1[far]
+        x0, y0, x1, y1 = halves
     else:
         found.append((j, x1, y1))  # depth 64 ends every interval
     j, x, y = (np.concatenate(a) for a in zip(*found))
@@ -466,17 +464,19 @@ def _piece_integrals(c, w, h):
     quad = np.flatnonzero(d2 != 0.0)
     if not quad.size:  # level_measure builds linear pieces only
         return out
-    disc = d1[quad] * d1[quad] - 4.0 * d0[quad] * d2[quad]
+    # the discriminant times s^2, so that no d1 * d1 overflows; its root is divided by s
+    s = _square_scale(d1[quad])
+    disc = (d1[quad] * s) * (d1[quad] * s) - 4.0 * (d0[quad] * s) * (d2[quad] * s)
     real = disc >= 0.0
     # two real roots q / d2 and d0 / q, with q = (sqrt(disc) - d1) / 2 >= 0
     # free of cancellation; q = 0 only for a double root at t = 0
     k = quad[real]
-    q = 0.5 * (np.sqrt(disc[real]) - d1[k])
+    q = 0.5 * (np.sqrt(disc[real]) / s[real] - d1[k])
     out[k] = root_terms(q, d2[k], k) + root_terms(d0[k], q, k)
 
     k, disc = quad[~real], disc[~real]
     wk, a = w[k], -d1[k] / (2.0 * d2[k])
-    beta = np.sqrt(-disc) / (2.0 * d2[k])
+    beta = np.sqrt(-disc) / s[~real] / (2.0 * d2[k])
     theta = np.arctan2(beta * wk, a * (a + wk) + beta * beta)
     rise = np.log1p(wk * (wk * d2[k] - d1[k]) / d0[k])  # ln(P(-w) / P(0))
     out[k] = 2.0 * wk + (h[k] - a) * rise - 2.0 * beta * theta

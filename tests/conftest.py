@@ -188,9 +188,17 @@ def invert_by_bisection(c, ya, yb, x):
 
 
 def _invert_quad_piece(coeffs, ya, yb, x):
-    """Solve P(y) = x on [ya, yb] by the closed-form root, in scalar code."""
+    """Solve P(y) = x on [ya, yb] by the closed-form root, in scalar code.
+
+    As in the library, where d1 * d1 would overflow, e, d1 and d2 are first
+    scaled by the power of two that takes |d1| below 2^511, which leaves t
+    unchanged.
+    """
     d0, d1, d2 = coeffs
     e = x - d0
+    if abs(d1) >= 2.0**512:
+        s = math.ldexp(1.0, 511 - math.frexp(d1)[1])
+        e, d1, d2 = e * s, d1 * s, d2 * s
     t = -2.0 * e / (-d1 + math.sqrt(max(d1 * d1 + 4.0 * d2 * e, 0.0)))
     return min(max(yb + t, ya), yb)
 

@@ -201,6 +201,27 @@ class TestLevelMeasure:
                 sample_function(lambda x, p=p: 0.5 + 0.5 * np.cos(2 * np.pi * p * x), 1000)
             )
 
+    def test_matches_active_set_oracle_on_exact_ties(self):
+        # integer-period cosines, whose values tie by symmetry on these grids
+        cosines = [cosine(p, 1001) for p in range(1, 21)] + [cosine(p, 10_001) for p in (3, 20)]
+        assert all(len(np.unique(f.vs)) < len(f.vs) for f in cosines)
+        # plateaus at 0, at 1 and in between, as breakpoints and sampled
+        shapes = [
+            ([0, 0.1, 0.2, 0.3, 0.45, 0.55, 0.7, 0.8, 1], [0, 0, 1, 1, 0.5, 0.5, 0, 1, 1]),
+            ([0, 0.25, 0.5, 0.75, 1], [1, 0.25, 0.25, 0.25, 0]),
+            ([0, 0.2, 0.4, 0.6, 0.8, 1], [0.5, 0.5, 0, 0.5, 0.5, 1]),
+        ]
+        plateaus = [PiecewisePossibility(list(zip(cx, cv))) for cx, cv in shapes]
+        plateaus += [sample_function(lambda x, c=c: np.interp(x, *c), 1000) for c in shapes]
+        # the rises between 0, 1e-309 and 5e-324 are too steep for a float rate
+        # and count as constant at their low values, which constant segments share
+        steep = PiecewisePossibility([
+            (0, 0), (0.1, 0), (0.2, 1e-309), (0.3, 1e-309), (0.35, 0), (0.4, 5e-324),
+            (0.5, 5e-324), (0.55, 1e-309), (0.6, 0.5), (0.7, 0.5), (0.8, 1), (0.9, 1), (1, 0),
+        ])
+        for f in [*cosines, *plateaus, steep]:
+            assert_matches_active_set(f)
+
     def test_matches_segment_oracle_on_random_functions(self, rng):
         for _ in range(100):
             f = random_piecewise(rng, normalized=bool(rng.integers(2)))
@@ -227,6 +248,10 @@ class TestRearrange:
     def test_identical_to_refinement_oracle(self, rng):
         levels = [level_measure(random_piecewise(rng)) for _ in range(100)]
         levels += [product_level(L, L) for L in curve_levels(1000)]
+        # the benchmark's products: the ramp's (one piece, 48 depths deep)
+        # and 1-20-period cosines' (2-4 periods are among curve_levels)
+        cosines = [level_measure(cosine(p, 1000)) for p in (1, *range(5, 21))]
+        levels += [product_level(L, L) for L in [level_measure(RAMP_DOWN), *cosines]]
         levels.append(level_measure(TENT))
         levels.append(level_measure(sample_function(lambda x: 4 * (x - 0.5) ** 2, 1001)))
         for level in levels:
@@ -249,7 +274,7 @@ class TestRearrange:
             assert q.size
             k = np.repeat(q, 5)
             x = c[k, 0] + (pa[k] - c[k, 0]) * np.tile(np.arange(1, 6) / 6, q.size)
-            closed = possinfo.continuous._invert(c[k], ya[k], yb[k], x)
+            closed = possinfo.continuous._invert(*c[k].T, ya[k], yb[k], x)
             bisected = invert_by_bisection(c[k], ya[k], yb[k], x)
 
             def residual(y):
@@ -563,6 +588,43 @@ class TestSubnormalWidths:
                 if name == "info" and not math.isfinite(value):
                     failures.append((name, f.points, g.points, value))
         assert failures == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_products_with_slopes_that_square_past_the_float_range(self):
+        # 535 of these 8 000 seeded products hold a slope of 2^512 or more,
+        # whose square once overflowed in info_from_level (a NaN in 88 pairs)
+        # and in rearrange (146 pairs)
+        rng = np.random.default_rng(1)
+        steep = []
+        for _ in range(8000):
+            Lf, Lg = level_measure(extreme_curve(rng)), level_measure(extreme_curve(rng))
+            try:
+                PP = product_level(Lf, Lg)
+            except ValueError as e:  # a coefficient past the float range
+                assert "must be finite" in str(e)
+                continue
+            try:
+                value = info_from_level(PP)
+                assert math.isfinite(value)
+            except DivergenceError:
+                value = None
+            if np.abs(PP._c[:, 1]).max() >= 2.0**512:
+                steep.append((PP, value, Lf, Lg))
+        assert len(steep) == 535
+        added = 0
+        for PP, value, Lf, Lg in steep:
+            # information adds over the product; checked where no nonzero
+            # coefficient of a factor lies below 2^-511, since a square that
+            # underflows still moves the product's roots
+            if value is not None and all(
+                np.all((L._c == 0.0) | (np.abs(L._c) >= 2.0**-511)) for L in (Lf, Lg)
+            ):
+                added += 1
+                assert value == pytest.approx(info_from_level(Lf) + info_from_level(Lg), rel=1e-12)
+            ft = rearrange(PP)
+            if len(ft.points) < 1000:
+                assert ft == rearrange_by_refinement(PP)
+        assert added == 247
 
 
 class TestInfoFromLevel:
