@@ -8,11 +8,13 @@ U is linear on each cell cut out by v_a = v_b, v_a = 0 and v_a = 1, and G
 and K are piecewise linear on the finer cells where v_a = prior_b cuts
 too.  So both solvers run one search: it enumerates the cell vertices in
 the feasible polytope (for K also the edge points where U(v) = U(prior)),
-scores them in floats and rescores the best exactly in rationals.  Each
-tie pattern's integer system is eliminated once: its determinant and
-den * M^-1 serve the float pass, the exact points and a K line's
-direction.  Max-U takes only the patterns with at most one tie group (see
-``solve_max_u``).  ``brute_force_oracle``, a grid scan, checks both in the tests.
+solves them in floats pattern by pattern, checks and scores stacks of
+patterns in one float pass each, and rescores the best exactly in
+rationals.  Each tie pattern's integer system is eliminated once: its
+determinant and den * M^-1 serve the float points, the exact points and
+a K line's direction.  Max-U takes only the patterns with at most one tie
+group (see ``solve_max_u``), generated as such.  ``brute_force_oracle``, a
+grid scan, checks both in the tests.
 When nothing is admissible, the same search, scoring summed violation over
 the box, names the nearest point (see ``_ViolationSearch``).
 
@@ -22,6 +24,7 @@ A row's relation means the interval its excess a.v - b may take
 intervals, for the feasibility checks and the witness alike.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,6 +163,22 @@ def _partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
+def _splits(free, ties):
+    """The splits of ``free`` into tie groups with at most ``ties`` groups of two or more.
+
+    ``ties`` is 0 (singletons), 1 (one group and singletons) or None (every
+    split, from ``_partitions``).
+    """
+    if ties is None:
+        yield from _partitions(free)
+        return
+    yield [[j] for j in free]
+    for size in range(2, len(free) + 1) if ties else ():
+        for group in itertools.combinations(free, size):
+            yield [list(group) if j == group[0] else [j] for j in free
+                   if j == group[0] or j not in group]
+
+
 def _patterns(n, m, line, normalized, ties=None):
     """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line.
 
@@ -169,9 +188,7 @@ def _patterns(n, m, line, normalized, ties=None):
     """
     for size in range(line, n + (not normalized)):
         for free in itertools.combinations(range(n), size):
-            for groups in [[[j] for j in free]] if ties == 0 else _partitions(list(free)):
-                if ties is not None and sum(len(g) > 1 for g in groups) > ties:
-                    continue
+            for groups in _splits(list(free), ties):
                 for chosen in itertools.combinations(range(m), len(groups) - line):
                     yield groups, chosen
 
@@ -211,14 +228,15 @@ def _exact_u(point, weights):
 
 def _grid(values, r):
     """Every assignment of r coordinates to the ascending ``values``, in lexicographic order."""
-    g = np.empty((len(values) ** r, r))
-    for j, axis in enumerate(np.meshgrid(*([values] * r), indexing="ij")):
-        g[:, j] = axis.ravel()
-    return g
+    m = len(values)
+    # row i holds the base-m digits of i, most significant first
+    digits = np.arange(m ** r)[:, None] // m ** np.arange(r - 1, -1, -1)
+    digits %= m
+    return values[digits]
 
 
 class _VertexSearch:
-    """Cell vertices of a problem: a float pass per pattern, exact points on demand.
+    """Cell vertices of a problem: float points per pattern, exact points on demand.
 
     The objective is minimized: -U over the constants {0, 1} for MaxU, G
     or K over {0, 1} and the prior's values for MinDistance, where K also
@@ -244,8 +262,14 @@ class _VertexSearch:
         # the interval a.v may take: b plus its excess's interval
         self.low, self.high = (np.array([x + _EXCESS[rel][end] for x, (_, rel, _)
                                          in zip(b, self.rows)]) for end in (0, 1))
+        # per row, a bound on the float error of b - a.v over the box
+        self.slack = 1e-15 * (np.abs(self.b) + np.abs(self.a).sum(axis=1))
         self.consts = np.array(sorted({0.0, 1.0, *self.prior.tolist()}))
         self.weights = _position_weights(self.n)
+        self.exact_consts = [*map(Fraction, self.consts.tolist())]
+        self.exact_prior = [*map(Fraction, self.prior.tolist())]
+        self.u_prior = _u_of_values(self.prior)
+        self.exact_u_prior = _exact_u(self.exact_prior, self.weights)
         self.grids = {}
 
     def grid(self, r):
@@ -263,16 +287,18 @@ class _VertexSearch:
         groups can reach in [0, 1].
         """
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
-        values = self.grid(len(fixed))
         system = _system(self.rows, groups, chosen, line)
         if system is None:
             return None
+        values = self.grid(len(fixed))
+        if not groups:  # every coordinate is a constant
+            return system, values, values
         pivot, solved, inverse, den = system
         k = len(chosen)
         # the shifted rows in float; their exact inverse bounds the float error
         a, b = self.a[list(chosen)], self.b[list(chosen)][:, None]
         rhs = b - a[:, fixed] @ values.T
-        slack = 1e-15 * (np.abs(b) + np.abs(a).sum(axis=1)[:, None])
+        slack = self.slack[list(chosen)][:, None]
         try:
             inv = np.array([[(x << self.shifts[r]) / den for x, r in zip(row, chosen)]
                             for row in inverse]).reshape(k, k)
@@ -303,7 +329,7 @@ class _VertexSearch:
         cuts += [(points[:, [h]] - points[:, [j]]) / (step[j] - step[h])
                  for j, h in itertools.combinations(reps, 2) if step[j] != step[h]]
         cuts = np.sort(np.hstack(cuts), axis=1)
-        f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - _u_of_values(self.prior)
+        f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - self.u_prior
         row, i = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
         lo, hi, flo, fhi = cuts[row, i], cuts[row, i + 1], f[row, i], f[row, i + 1]
         roots = lo + (hi - lo) * flo / (flo - fhi)
@@ -332,7 +358,7 @@ class _VertexSearch:
         uv = _u_of_rows(points)
         if self.metric is None:
             return -uv
-        uj, up = _u_of_rows(np.maximum(points, self.prior)), _u_of_values(self.prior)
+        uj, up = _u_of_rows(np.maximum(points, self.prior)), self.u_prior
         return 2.0 * uj - uv - up if self.metric == "G" else uj - np.minimum(uv, up)
 
     def exact_points(self, groups, chosen, system, fixed_values):
@@ -347,13 +373,12 @@ class _VertexSearch:
             return [zero]
         # every coordinate is affine in the pivot's value t
         slope = [y - x for x, y in zip(zero, next(ends))]
-        cuts = {(c - x) / s for x, s in zip(zero, slope) if s
-                for c in map(Fraction, self.consts.tolist())}
+        cuts = {(c - x) / s for x, s in zip(zero, slope) if s for c in self.exact_consts}
         cuts.update((x2 - x1) / (s1 - s2) for (x1, s1), (x2, s2)
                     in itertools.combinations(zip(zero, slope), 2) if s1 != s2)
         cuts = sorted(cuts)
-        up = _exact_u(map(Fraction, self.prior.tolist()), self.weights)
-        f = [_exact_u([x + s * t for x, s in zip(zero, slope)], self.weights) - up for t in cuts]
+        f = [_exact_u([x + s * t for x, s in zip(zero, slope)], self.weights) - self.exact_u_prior
+             for t in cuts]
         roots = [lo + (hi - lo) * flo / (flo - fhi)
                  for lo, hi, flo, fhi in zip(cuts, cuts[1:], f, f[1:]) if flo * fhi < 0]
         return [[x + s * t for x, s in zip(zero, slope)] for t in roots]
@@ -362,36 +387,71 @@ class _VertexSearch:
         uv = _exact_u(point, self.weights)
         if self.metric is None:
             return -uv
-        prior = [Fraction(x) for x in self.prior.tolist()]
-        uj, up = (_exact_u(v, self.weights) for v in (map(max, point, prior), prior))
+        uj, up = _exact_u(map(max, point, self.exact_prior), self.weights), self.exact_u_prior
         return 2 * uj - uv - up if self.metric == "G" else uj - min(uv, up)
+
+
+def _float_pass(search, ties):
+    """(patterns, their first rows, float-feasible rows, their float scores) of a search.
+
+    A pattern is (groups, chosen rows, system, constant assignments), with
+    one float point per assignment.  Rows number the points of every
+    pattern in search order, so a row names its pattern (the last first row
+    not above it) and its assignment.  The points are checked and scored in
+    stacks, one pass of each check per stack.  A stack is checked before it
+    would hold more rows than the search's largest constant grid (a larger
+    pattern is a stack of its own), so a large search holds about one
+    pattern's points at a time and a small one makes few stacks.
+    """
+    limit = len(search.grid(search.n))
+    patterns, firsts, found, scores, stack = [], [], [], [], []
+    held = stacked = 0  # rows of all patterns so far, and of those in the stack
+
+    def check(first):
+        points = stack[0] if len(stack) == 1 else np.concatenate(stack)
+        stack.clear()
+        ok = np.flatnonzero(search.feasible(points))
+        found.append(first + ok)
+        scores.append(search.score(points[ok]))
+
+    for line in (False, True) if search.metric == "K" else (False,):
+        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
+            pattern = search.candidates(groups, chosen, line)
+            if pattern is not None and len(pattern[1]):
+                if stack and stacked + len(pattern[1]) > limit:
+                    check(held - stacked)
+                    stacked = 0
+                system, values, points = pattern
+                patterns.append((groups, chosen, system, values))
+                firsts.append(held)
+                stack.append(points)
+                held += len(values)
+                stacked += len(values)
+    if stack:
+        check(held - stacked)
+    return (patterns, firsts, np.concatenate([np.empty(0, int), *found]),
+            np.concatenate([np.empty(0), *scores]))
 
 
 def _exact_minimizers(search, ties):
     """(float candidates, exact minimizers lexicographically descending) over the cell vertices.
 
     ``ties`` caps the tie groups of the patterns searched.  Each pattern's
-    constant assignments are solved and scored in one float pass; the
-    candidates within 1e-9 of the best are then solved, checked and scored
+    constant assignments are solved in floats, and stacks of patterns are
+    checked and scored in one float pass each (``_float_pass``).  A
+    float-feasible candidate is only a row number until it is rescored:
+    the candidates within 1e-9 of the best are solved, checked and scored
     exactly.
     """
-    batches = []  # (pattern, constant assignments, float scores) of the feasible candidates
-    for line in (False, True) if search.metric == "K" else (False,):
-        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
-            found = search.candidates(groups, chosen, line)
-            if found is not None:
-                system, values, points = found
-                ok = search.feasible(points)
-                if ok.any():
-                    batches.append(((groups, chosen, system), values[ok], search.score(points[ok])))
-    scores = np.concatenate([np.empty(0)] + [b[2] for b in batches])
-    refs = [(pattern, v) for pattern, values, _ in batches for v in values]
-
+    patterns, firsts, found, scores = _float_pass(search, ties)
     best, optima = None, set()
     for c in np.argsort(scores, kind="stable").tolist():
         if best is not None and scores[c] > float(best) + 1e-9:
             break
-        for point in search.exact_points(*refs[c][0], refs[c][1]):
+        row = int(found[c])
+        i = bisect.bisect_right(firsts, row) - 1
+        *pattern, values = patterns[i]
+        for point in search.exact_points(*pattern, values[row - firsts[i]]):
             if search.exact_feasible(point):
                 s = search.exact_score(point)
                 if best is None or s < best:

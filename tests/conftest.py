@@ -235,7 +235,8 @@ def rearrange_by_refinement(level, tol=1e-9):
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
     b = level.bounds
-    K = len(level.coeffs)
+    coeffs = level.coeffs  # the property builds the tuple of all rows on each access
+    K = len(coeffs)
     raw = []
     top_val = level.piece_value(K - 1, b[K])
     if top_val > 1e-12:
@@ -244,8 +245,8 @@ def rearrange_by_refinement(level, tol=1e-9):
         ya, yb = b[k], b[k + 1]
         pa = level.piece_value(k, ya)
         pb = level.piece_value(k, yb)
-        if pa > pb and level.coeffs[k][2] != 0.0:
-            raw.extend(_quad_inverse_points(level.coeffs[k], ya, yb, pa, pb, tol))
+        if pa > pb and coeffs[k][2] != 0.0:
+            raw.extend(_quad_inverse_points(coeffs[k], ya, yb, pa, pb, tol))
         else:
             raw.append((pb, yb))
             raw.append((pa, ya))

@@ -23,7 +23,11 @@ from possinfo import (
     solve_min_distance,
     u_uncertainty,
 )
+import possinfo.inference as inference
 from possinfo.inference import (
+    _grid,
+    _partitions,
+    _patterns,
     _position_weights,
     _solve_integer,
     _system,
@@ -41,7 +45,7 @@ from conftest import (
     min_distance_by_descent,
     violation_by_arrangement,
 )
-from test_solver_answers import ANSWERS, answer_problems
+from test_solver_answers import ANSWERS, answer, answer_problems
 
 LN2 = math.log(2.0)
 
@@ -256,6 +260,64 @@ class TestIntegerKernel:
             assert [[Fraction(x, den) for x in row] for row in inverse] == best[3]
             lines += line
         assert lines > 100
+
+
+def filtered_patterns(n, m, line, normalized, ties):
+    """The search's patterns as every split of ``_partitions``, filtered by its tie groups."""
+    for size in range(line, n + (not normalized)):
+        for free in itertools.combinations(range(n), size):
+            for groups in _partitions(list(free)):
+                if ties is None or sum(len(g) > 1 for g in groups) <= ties:
+                    for chosen in itertools.combinations(range(m), len(groups) - line):
+                        yield groups, chosen
+
+
+class TestSearchParts:
+    """The patterns, grids and pattern order of the vertex search against plain references."""
+
+    @pytest.mark.parametrize("ties", [0, 1, None])
+    def test_patterns_are_the_filtered_partitions(self, ties):
+        def canonical(patterns):  # a pattern's groups in any order are the same pattern
+            return sorted((sorted(map(tuple, groups)), chosen) for groups, chosen in patterns)
+
+        for n, m, line, normalized in itertools.product(range(8), range(3), (False, True),
+                                                        (False, True)):
+            got = canonical(_patterns(n, m, line, normalized, ties))
+            expected = canonical(filtered_patterns(n, m, line, normalized, ties))
+            assert got == expected, (n, m, line, normalized)
+        # one tie group among 10 free coordinates: 2**10 - 10 splits, of Bell(10) = 115975
+        assert len(list(inference._splits(list(range(10)), 1))) == 2**10 - 10
+
+    def test_grid_is_the_product_in_order(self):
+        for values in ([0.5], [0.0, 1.0], [0.0, 0.3, 1.0], np.linspace(0.0, 1.0, 11).tolist()):
+            for r in range(5):
+                got = _grid(np.array(values), r)
+                expected = np.array(list(itertools.product(values, repeat=r)), dtype=float)
+                assert got.shape == (len(values) ** r, r) and got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_search_grid_keeps_the_products_that_reach_one(self, normalized):
+        labels = tuple("abcd")
+        prior = DiscreteDistribution(labels, (1.0, 0.3, 0.7, 0.3))
+        search = _VertexSearch(problem(labels, (), MinDistance(prior, "G"), normalized))
+        consts = [0.0, 0.3, 0.7, 1.0]
+        assert search.consts.tolist() == consts
+        for r in range(5):
+            rows = [row for row in itertools.product(consts, repeat=r)
+                    if not normalized or 1.0 in row]
+            expected = np.array(rows, dtype=float).reshape(len(rows), r)
+            assert search.grid(r).shape == expected.shape
+            assert search.grid(r).tobytes() == expected.tobytes()
+
+    def test_answers_do_not_depend_on_pattern_order(self, monkeypatch):
+        # every candidate within 1e-9 of the best float score is rescored exactly
+        problems = list(itertools.islice(answer_problems(), 90))
+        expected = [answer(p) for p in problems]
+        forward = inference._patterns
+        monkeypatch.setattr(inference, "_patterns",
+                            lambda *args: reversed(list(forward(*args))))
+        assert [answer(p) for p in problems] == expected
 
 
 class TestConstraintValidation:

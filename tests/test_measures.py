@@ -67,6 +67,20 @@ class TestUUncertainty:
             single = [u_uncertainty(D(*r)) for r in rows]
             assert _u_of_rows(rows).tobytes() == np.array(single).tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_rows_match_row_by_row(self, n, rng):
+        # the vertex search scores many patterns' points in one stack; n = 2
+        # leaves one column in the reversed slice the weights multiply
+        magnitudes = 10.0 ** rng.integers(-300, 301, (200, n))
+        rows = rng.uniform(0.0, 1.0, (200, n)) * magnitudes
+        rows[rng.random((200, n)) < 0.2] = 0.0
+        rows[rng.random((200, n)) < 0.2] = -0.0
+        rows[:3] = [[1e-300] * n, [1e300] * n, [-0.0] * n]
+        single = np.array([_u_of_rows(row) for row in rows])
+        assert _u_of_rows(rows).tobytes() == single.tobytes()
+        for start, stop in rng.integers(0, 201, (20, 2)):
+            assert _u_of_rows(rows[start:stop]).tobytes() == single[start:stop].tobytes()
+
     def test_weight_table_is_a_bitwise_prefix_for_every_n(self):
         # one table grown to the largest n serves every smaller n bit for bit
         big = _log_weights(2**20)

@@ -3,17 +3,22 @@
 ``tests/data/solver_answers.json`` holds, for seeded problems, the
 ``float.hex`` of ``values``, ``objective_value`` and ``candidates`` (max-U)
 or ``tied_optima`` (G, K), or the infeasibility message.  A change to the
-vertex search that moves any bit of an answer fails here.  The
-certificates' ``vertices`` are left out: they count the enumeration's
-work, which may change while every answer stays.
+vertex search that moves any bit of an answer fails here.
 
-Rewrite the file only for an intended and explained answer change:
+``tests/data/solver_vertices.json`` holds the certificates' ``vertices``
+(None for an infeasible problem) apart from the answers: they count the
+enumeration's float-feasible candidates, so a change to how the search is
+carried out must keep them, while a change to what it enumerates moves
+them with every answer staying.
+
+Rewrite the files only for an intended and explained change:
 
     PYTHONPATH=src python tests/test_solver_answers.py
 
 which prints every entry it changes (index, old and new) before writing.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -33,6 +38,7 @@ from possinfo import (
 )
 
 ANSWERS = Path(__file__).parent / "data" / "solver_answers.json"
+VERTICES = Path(__file__).parent / "data" / "solver_vertices.json"
 SEED = 20261018
 COUNT = 300
 # the most rows per label count, which keeps the whole file under a few seconds
@@ -90,18 +96,28 @@ def _hex(points):
 
 
 def answer(problem):
+    """(the answer's entry, the certificate's ``vertices`` entry) of one problem."""
     entry = {"problem": _digest(problem)}
+    counted = {"problem": entry["problem"], "vertices": None}
     max_u = isinstance(problem.objective, MaxU)
     try:
         sol = (solve_max_u if max_u else solve_min_distance)(problem)
     except InfeasibleProblemError as exc:
         entry["error"] = str(exc)
-        return entry
+        return entry, counted
     entry["values"] = _hex([sol.distribution.values])[0]
     entry["objective_value"] = sol.objective_value.hex()
     key = "candidates" if max_u else "tied_optima"
     entry[key] = _hex(sol.certificate[key])
-    return entry
+    counted["vertices"] = sol.certificate["vertices"]
+    return entry, counted
+
+
+@functools.cache
+def answers():
+    """(answer entries, ``vertices`` entries) of every seeded problem, solved once."""
+    entries, counts = zip(*map(answer, answer_problems()))
+    return list(entries), list(counts)
 
 
 def rewrite(path, entries):
@@ -112,17 +128,26 @@ def rewrite(path, entries):
             print(f"#{i}\n  old: {json.dumps(before)}\n  new: {json.dumps(entry)}")
     path.parent.mkdir(exist_ok=True)
     path.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-    print(f"wrote {len(entries)} answers to {path}")
+    print(f"wrote {len(entries)} entries to {path}")
+
+
+def _check(path, got, what):
+    expected = json.loads(path.read_text())
+    assert len(expected) == COUNT
+    assert [e["problem"] for e in got] == [e["problem"] for e in expected], "generator changed"
+    moved = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+    assert not moved, f"{what} moved on problems {moved}: first {got[moved[0]]}"
 
 
 def test_answers_match_the_committed_file():
-    expected = json.loads(ANSWERS.read_text())
-    assert len(expected) == COUNT
-    got = [answer(p) for p in answer_problems()]
-    assert [e["problem"] for e in got] == [e["problem"] for e in expected], "generator changed"
-    moved = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
-    assert not moved, f"answers moved on problems {moved}: first {got[moved[0]]}"
+    _check(ANSWERS, answers()[0], "answers")
+
+
+def test_vertex_counts_match_the_committed_file():
+    _check(VERTICES, answers()[1], "vertex counts")
 
 
 if __name__ == "__main__":
-    rewrite(ANSWERS, [answer(p) for p in answer_problems()])
+    entries, counts = answers()
+    rewrite(ANSWERS, entries)
+    rewrite(VERTICES, counts)
