@@ -8,13 +8,14 @@ U is linear on each cell cut out by v_a = v_b, v_a = 0 and v_a = 1, and G
 and K are piecewise linear on the finer cells where v_a = prior_b cuts
 too.  So both solvers run one search: it enumerates the cell vertices in
 the feasible polytope (for K also the edge points where U(v) = U(prior)),
-solves them in floats pattern by pattern, checks and scores stacks of
-patterns in one float pass each, and rescores the best exactly in
-rationals.  Each tie pattern's integer system is eliminated once: its
-determinant and den * M^-1 serve the float points, the exact points and
-a K line's direction.  Max-U takes only the patterns with at most one tie
-group (see ``solve_max_u``), generated as such.  ``brute_force_oracle``, a
-grid scan, checks both in the tests.
+solves the tie patterns of one shape together in one stacked float pass,
+checks and scores stacks of their points in one float pass each, and
+rescores the best exactly, in integers over one denominator per point.
+Each tie pattern's integer system is eliminated once: its determinant
+and den * M^-1 serve the float points, the exact points and a K line's
+direction.  Max-U takes only the patterns with at most one tie group (see
+``solve_max_u``), generated as such.  ``brute_force_oracle``, a grid
+scan, checks both in the tests.
 When nothing is admissible, the same search, scoring summed violation over
 the box, names the nearest point (see ``_ViolationSearch``).
 
@@ -27,6 +28,7 @@ intervals, for the feasibility checks and the witness alike.
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +36,8 @@ import numpy as np
 
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
-from .measures import _log_weights, _u_of_rows, _u_of_values, big_g, big_k, u_uncertainty
+from .measures import (_log_weights, _u_of_ascending, _u_of_rows, _u_of_values, big_g, big_k,
+                       u_uncertainty)
 
 _MAX_U_SIZE = 8
 _MIN_DIST_SIZE = 6
@@ -114,16 +117,16 @@ class InferenceSolution:
     certificate: dict
 
 
+def _dyadic(floats):
+    """(numerators, den): floats written exactly over their least common power of two."""
+    pairs = [x.as_integer_ratio() for x in floats]
+    den = max((d for _, d in pairs), default=1)
+    return [p * (den // d) for p, d in pairs], den
+
+
 def _position_weights(n):
-    # weight of the k-th largest value in U: 0, then the exact rationals of
-    # the float weights U is scored with
-    return [Fraction(0), *map(Fraction, _log_weights(n).tolist())]
-
-
-def _over_common_den(fractions):
-    """(numerators, den): rationals written over their least common denominator."""
-    den = math.lcm(*(x.denominator for x in fractions))
-    return [x.numerator * (den // x.denominator) for x in fractions], den
+    """(weights, den): U's weight per position, 0 for the largest value, over one power of two."""
+    return _dyadic([0.0, *_log_weights(n).tolist()])
 
 
 def _solve_integer(matrix, rhs):
@@ -211,21 +214,6 @@ def _system(rows, groups, chosen, line):
     return max(systems, key=lambda system: system[3], default=None)
 
 
-def _exact_point(rows, n, chosen, system, fixed):
-    """The exact point whose solved groups satisfy the chosen rows, ``fixed`` giving the rest."""
-    _, solved, inverse, den = system
-    ints, scale = _over_common_den([rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items())
-                                    for r in chosen])
-    point = dict(fixed)
-    for g, row in zip(solved, inverse):
-        point.update(dict.fromkeys(g, Fraction(sum(a * b for a, b in zip(row, ints)), den * scale)))
-    return [point[j] for j in range(n)]
-
-
-def _exact_u(point, weights):
-    return sum(w * x for w, x in zip(weights, sorted(point, reverse=True)))
-
-
 def _grid(values, r):
     """Every assignment of r coordinates to the ascending ``values``, in lexicographic order."""
     m = len(values)
@@ -236,11 +224,13 @@ def _grid(values, r):
 
 
 class _VertexSearch:
-    """Cell vertices of a problem: float points per pattern, exact points on demand.
+    """Cell vertices of a problem: float points per stack of patterns, exact points on demand.
 
     The objective is minimized: -U over the constants {0, 1} for MaxU, G
     or K over {0, 1} and the prior's values for MinDistance, where K also
     takes the points on lines with one row fewer where U(v) = U(prior).
+    An exact point is (numerators, den), every coordinate over one
+    denominator; it is checked and scored in integers.
     """
 
     def __init__(self, problem):
@@ -249,8 +239,7 @@ class _VertexSearch:
         self.normalized = problem.require_normalized
         self.prior = np.asarray(problem.objective.prior.values if self.metric else [], dtype=float)
         # each row scaled exactly to integers (floats are dyadic rationals)
-        ints = [_over_common_den([*map(Fraction, c.coefficients), Fraction(c.bound)])[0]
-                for c in problem.constraints]
+        ints = [_dyadic([*c.coefficients, c.bound])[0] for c in problem.constraints]
         self.rows = [(r[:-1], c.relation, r[-1]) for r, c in zip(ints, problem.constraints)]
         # and shifted by a power of two to a largest magnitude in (1/2, 1]:
         # the same hyperplane, and no float overflow in the passes below
@@ -265,11 +254,16 @@ class _VertexSearch:
         # per row, a bound on the float error of b - a.v over the box
         self.slack = 1e-15 * (np.abs(self.b) + np.abs(self.a).sum(axis=1))
         self.consts = np.array(sorted({0.0, 1.0, *self.prior.tolist()}))
-        self.weights = _position_weights(self.n)
-        self.exact_consts = [*map(Fraction, self.consts.tolist())]
-        self.exact_prior = [*map(Fraction, self.prior.tolist())]
+        # the rows of the largest constant grid, grid(n), which bound a stack
+        m = len(self.consts)
+        self.limit = m ** self.n - (m - 1) ** self.n if self.normalized else m ** self.n
         self.u_prior = _u_of_values(self.prior)
-        self.exact_u_prior = _exact_u(self.exact_prior, self.weights)
+        # U's weights over weight_den, and the constants and the prior over unit
+        self.weights, self.weight_den = _position_weights(self.n)
+        numerators, self.unit = _dyadic(self.consts.tolist())
+        self.const_ints = dict(zip(self.consts.tolist(), numerators))
+        self.prior_ints = [self.const_ints[x] for x in self.prior.tolist()]
+        self.exact_u_prior = self.u(self.prior_ints)
         self.grids = {}
 
     def grid(self, r):
@@ -279,61 +273,101 @@ class _VertexSearch:
             self.grids[r] = g[(g == 1.0).any(axis=1)] if self.normalized else g
         return self.grids[r]
 
-    def candidates(self, groups, chosen, line):
-        """(system, constant assignments, float points): a pattern's vertices or line splits.
+    def solve(self, stack, line, f):
+        """(patterns, points) of a stack of one shape's (groups, chosen rows, system), in one pass.
 
-        An ill-conditioned system, or one whose inverse overflows, is solved
+        A pattern adds its constant assignments, one row of ``points`` each,
+        in pattern order.  The conditioning is checked at once; an
+        ill-conditioned system, or one whose inverse overflows, is solved
         exactly instead, for the assignments whose right-hand sides its
         groups can reach in [0, 1].
         """
-        fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
-        system = _system(self.rows, groups, chosen, line)
-        if system is None:
-            return None
-        values = self.grid(len(fixed))
-        if not groups:  # every coordinate is a constant
-            return system, values, values
-        pivot, solved, inverse, den = system
-        k = len(chosen)
+        values, n, k = self.grid(f), self.n, len(stack[0][1])
+        if not stack[0][0]:  # no group: every coordinate is a constant
+            return [(*stack[0], values)], values
+        # per pattern: each coordinate's row of ``source`` (a constant, a group's value or
+        # the pivot's 0), the fixed columns of the chosen rows, and the correctly rounded inverse
+        where, cols, row_ids, inv = [], [], [], []
+        for p, (groups, rows, (pivot, solved, inverse, den)) in enumerate(stack):
+            place = dict.fromkeys(pivot, f + k)
+            for i, g in enumerate(solved, f):
+                place.update(dict.fromkeys(g, i))
+            fixed = [j for j in range(n) if j not in place]
+            place.update(zip(fixed, range(f)))
+            where += [p * (f + k + 1) + place[j] for j in range(n)]
+            cols += [r * n + j for r in rows for j in fixed]
+            row_ids += rows
+            try:
+                inv += [(x << self.shifts[r]) / den for row in inverse for x, r in zip(row, rows)]
+            except OverflowError:  # an inverse beyond the float range is as ill-conditioned
+                inv += [math.inf] * k * k
+        size = len(stack)
+        a = self.a.take(cols).reshape(size, k, f)
+        slack = self.slack.take(row_ids).reshape(size, k, 1)
+        rhs = self.b.take(row_ids).reshape(size, k, 1) - a @ values.T
+        inv = np.array(inv).reshape(size, k, k)
         # the shifted rows in float; their exact inverse bounds the float error
-        a, b = self.a[list(chosen)], self.b[list(chosen)][:, None]
-        rhs = b - a[:, fixed] @ values.T
-        slack = self.slack[list(chosen)][:, None]
-        try:
-            inv = np.array([[(x << self.shifts[r]) / den for x, r in zip(row, chosen)]
-                            for row in inverse]).reshape(k, k)
-        except OverflowError:  # an inverse beyond the float range is as ill-conditioned
-            inv = np.full((k, k), np.inf)
-        if (np.abs(inv) @ slack > 1e-12).any():
-            sums = np.array([[a[i, g].sum() for g in groups] for i in range(k)])
-            low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack
-            high = np.maximum(sums, 0.0).sum(axis=1)[:, None] + 1e6 * slack
-            found = [(v, p) for v in values[((rhs >= low) & (rhs <= high)).all(axis=0)]
-                     for p in self.exact_points(groups, chosen, system, v)]
-            return (system, np.array([v for v, _ in found]).reshape(len(found), len(fixed)),
-                    np.array([p for _, p in found], dtype=float).reshape(len(found), self.n))
-        points = np.zeros((len(values), self.n))
-        points[:, fixed] = values
-        for g, t in zip(solved, inv @ rhs):
-            points[:, g] = t[:, None]
+        ill = (np.abs(inv) @ slack > 1e-12).any(axis=(1, 2)).tolist()
+        if True in ill:
+            inv[ill] = 0.0  # their points come from the exact solve below
+        source = np.empty((size, f + k + 1, len(values)))
+        source[:, :f] = values.T
+        source[:, f:f + k] = inv @ rhs
+        source[:, f + k] = 0.0
+        block = source.reshape(-1, len(values))[where].reshape(size, n, -1).transpose(0, 2, 1)
+        good = [p for p, bad in enumerate(ill) if not bad]
         if not line:
-            return system, values, points
-        # the pivot runs from 0 in ``points`` along ``step``; U is linear in
-        # between the parameters where a group meets a constant or another group
-        base = dict.fromkeys(fixed, 0)
-        ends = [_exact_point(self.rows, self.n, chosen, system, {**base, **dict.fromkeys(pivot, t)})
-                for t in (0, 1)]
-        step = np.array([float(y - x) for x, y in zip(*ends)])
+            patterns, points = [(*stack[p], values) for p in good], [block[good].reshape(-1, n)]
+        else:  # each line's points where U(v) = U(prior)
+            patterns, points = [], []
+            for p in good:
+                groups, rows, system = stack[p]
+                step = [x / system[3] for x in self.direction(rows, system)]
+                vals, pts = self.crossings(groups, values, block[p], step)
+                patterns.append((groups, rows, system, vals))
+                points.append(pts)
+        for p in itertools.compress(range(size), ill):
+            groups, rows, system = stack[p]
+            sums = np.array([[self.a[r, g].sum() for g in groups] for r in rows])
+            low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack[p]
+            high = np.maximum(sums, 0.0).sum(axis=1)[:, None] + 1e6 * slack[p]
+            found = [(v, x) for v in values[((rhs[p] >= low) & (rhs[p] <= high)).all(axis=0)]
+                     for x in self.exact_points(groups, rows, system, v)]
+            vals = np.array([v for v, _ in found]).reshape(len(found), f)
+            patterns.append((groups, rows, system, vals))
+            points.append(np.array([[x / den for x in nums] for _, (nums, den) in found],
+                                   dtype=float).reshape(len(found), n))
+        return patterns, points[0] if len(points) == 1 else np.concatenate(points)
+
+    def direction(self, chosen, system):
+        """A line pattern's direction over den: den on the pivot, -(den * M^-1 . s) on the groups.
+
+        s holds the chosen rows' integer sums over the pivot's columns.
+        """
+        pivot, solved, inverse, den = system
+        sums = [sum(self.rows[r][0][j] for j in pivot) for r in chosen]
+        direction = dict.fromkeys(range(self.n), 0) | dict.fromkeys(pivot, den)
+        for g, row in zip(solved, inverse):
+            direction |= dict.fromkeys(g, -sum(map(operator.mul, row, sums)))
+        return list(direction.values())
+
+    def crossings(self, groups, values, points, step):
+        """(assignments, points) where U(v) = U(prior) on the lines from ``points`` along ``step``.
+
+        The pivot runs from 0 in ``points``; U is linear in between the
+        parameters where a group meets a constant or another group.
+        """
+        step = np.array(step)
         reps = [g[0] for g in groups]
         cuts = [(self.consts - points[:, [j]]) / step[j] for j in reps if step[j]]
         cuts += [(points[:, [h]] - points[:, [j]]) / (step[j] - step[h])
                  for j, h in itertools.combinations(reps, 2) if step[j] != step[h]]
-        cuts = np.sort(np.hstack(cuts), axis=1)
+        cuts = np.sort(np.concatenate(cuts, axis=1), axis=1)
         f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - self.u_prior
         row, i = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
         lo, hi, flo, fhi = cuts[row, i], cuts[row, i + 1], f[row, i], f[row, i + 1]
         roots = lo + (hi - lo) * flo / (flo - fhi)
-        return system, values[row], points[row] + roots[:, None] * step
+        return values[row], points[row] + roots[:, None] * step
 
     def outside(self, points):
         """Per point and row, how far a.v lies outside the row's interval (<= 0 inside), shifted."""
@@ -345,14 +379,15 @@ class _VertexSearch:
         return ok & (self.outside(points) <= _FEAS_TOL).all(axis=1)
 
     def exact_violations(self, point):
-        """(den, den times how far each integer row's a.v lies outside its interval), exactly."""
-        numerators, den = _over_common_den(point)
-        excess = [(sum(a * x for a, x in zip(coeffs, numerators)) - bound * den, rel)
+        """Per integer row, den times how far a.v lies outside its interval, exactly."""
+        numerators, den = point
+        excess = [(sum(map(operator.mul, coeffs, numerators)) - bound * den, rel)
                   for coeffs, rel, bound in self.rows]
-        return den, [max(e if rel != ">=" else 0, -e if rel != "<=" else 0) for e, rel in excess]
+        return [max(e if rel != ">=" else 0, -e if rel != "<=" else 0) for e, rel in excess]
 
     def exact_feasible(self, point):
-        return all(0 <= x <= 1 for x in point) and not any(self.exact_violations(point)[1])
+        numerators, den = point
+        return all(0 <= x <= den for x in numerators) and not any(self.exact_violations(point))
 
     def score(self, points):
         uv = _u_of_rows(points)
@@ -361,49 +396,90 @@ class _VertexSearch:
         uj, up = _u_of_rows(np.maximum(points, self.prior)), self.u_prior
         return 2.0 * uj - uv - up if self.metric == "G" else uj - np.minimum(uv, up)
 
+    def u(self, numerators):
+        """U of the point numerators / den, times weight_den * den."""
+        return sum(map(operator.mul, self.weights, sorted(numerators, reverse=True)))
+
     def exact_points(self, groups, chosen, system, fixed_values):
         """The exact points of one pattern and constant assignment, unchecked."""
-        pivot = system[0]
+        pivot, solved, inverse, den = system
+        rows, unit = self.rows, self.unit
         fixed = [j for j in range(self.n) if all(j not in g for g in groups)]
-        known = {j: Fraction(x) for j, x in zip(fixed, fixed_values.tolist())}
-        ends = (_exact_point(self.rows, self.n, chosen, system,
-                             {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
-        zero = next(ends)
+        known = list(zip(fixed, map(self.const_ints.get, fixed_values.tolist())))
+        # the chosen rows' right-hand sides with the pivot at 0, over unit
+        rhs = [rows[r][2] * unit - sum(rows[r][0][j] * x for j, x in known) for r in chosen]
+        scale = den * unit
+        point = dict.fromkeys(range(self.n), 0) | {j: x * den for j, x in known}
+        for g, row in zip(solved, inverse):
+            point |= dict.fromkeys(g, sum(map(operator.mul, row, rhs)))
+        point = list(point.values())
         if not pivot:  # a vertex pattern: no line to follow
-            return [zero]
-        # every coordinate is affine in the pivot's value t
-        slope = [y - x for x, y in zip(zero, next(ends))]
-        cuts = {(c - x) / s for x, s in zip(zero, slope) if s for c in self.exact_consts}
-        cuts.update((x2 - x1) / (s1 - s2) for (x1, s1), (x2, s2)
-                    in itertools.combinations(zip(zero, slope), 2) if s1 != s2)
+            return [(point, scale)]
+        # every coordinate is affine in the pivot's value t: (point + t * slope) / scale
+        slope = [x * unit for x in self.direction(chosen, system)]
+        cuts = {Fraction(c * den - x, s) for x, s in zip(point, slope) if s
+                for c in self.const_ints.values()}
+        cuts.update(Fraction(x2 - x1, s1 - s2) for (x1, s1), (x2, s2)
+                    in itertools.combinations(zip(point, slope), 2) if s1 != s2)
         cuts = sorted(cuts)
-        f = [_exact_u([x + s * t for x, s in zip(zero, slope)], self.weights) - self.exact_u_prior
+        # U(v) - U(prior) at each cut t = p / q, times the positive weight_den * unit * scale
+        f = [Fraction(self.u([x * t.denominator + s * t.numerator for x, s in zip(point, slope)])
+                      * unit - self.exact_u_prior * scale * t.denominator, t.denominator)
              for t in cuts]
         roots = [lo + (hi - lo) * flo / (flo - fhi)
                  for lo, hi, flo, fhi in zip(cuts, cuts[1:], f, f[1:]) if flo * fhi < 0]
-        return [[x + s * t for x, s in zip(zero, slope)] for t in roots]
+        return [([x * t.denominator + s * t.numerator for x, s in zip(point, slope)],
+                 scale * t.denominator) for t in roots]
 
     def exact_score(self, point):
-        uv = _exact_u(point, self.weights)
+        numerators, den = point
+        uv = self.u(numerators)
         if self.metric is None:
-            return -uv
-        uj, up = _exact_u(map(max, point, self.exact_prior), self.weights), self.exact_u_prior
-        return 2 * uj - uv - up if self.metric == "G" else uj - min(uv, up)
+            return Fraction(-uv, self.weight_den * den)
+        # over weight_den * den * unit
+        uj = self.u([max(x * self.unit, p * den) for x, p in zip(numerators, self.prior_ints)])
+        uv, up = uv * self.unit, self.exact_u_prior * den
+        return Fraction(2 * uj - uv - up if self.metric == "G" else uj - min(uv, up),
+                        self.weight_den * den * self.unit)
+
+
+def _stacks(search, ties):
+    """(patterns, points) per stack of one shape's tie patterns, from ``solve``.
+
+    A shape, (line or not, group count, fixed count), fixes a pattern's
+    array sizes.  A stack is solved once it holds more constant
+    assignments than the search's largest constant grid, and at the end.
+    """
+    stacks = {}
+    for line in (False, True) if search.metric == "K" else (False,):
+        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
+            system = _system(search.rows, groups, chosen, line)
+            if system is None:
+                continue
+            f, g = search.n - sum(map(len, groups)), len(groups)
+            stack = stacks.setdefault((line, g, f), [])
+            stack.append((groups, chosen, system))
+            if len(stack) * len(search.grid(f)) > search.limit:
+                yield search.solve(stack, line, f)
+                stacks[line, g, f] = []
+    for (line, _, f), stack in stacks.items():
+        if stack:
+            yield search.solve(stack, line, f)
 
 
 def _float_pass(search, ties):
     """(patterns, their first rows, float-feasible rows, their float scores) of a search.
 
     A pattern is (groups, chosen rows, system, constant assignments), with
-    one float point per assignment.  Rows number the points of every
-    pattern in search order, so a row names its pattern (the last first row
-    not above it) and its assignment.  The points are checked and scored in
-    stacks, one pass of each check per stack.  A stack is checked before it
-    would hold more rows than the search's largest constant grid (a larger
-    pattern is a stack of its own), so a large search holds about one
-    pattern's points at a time and a small one makes few stacks.
+    one float point per assignment, solved a stack of one shape at a time
+    (``_stacks``).  Rows number the points of every pattern in the order
+    the stacks give them, so a row names its pattern (the last first row
+    not above it) and its assignment.  The points are checked and scored
+    in stacks, one pass of each check per stack.  A stack is checked once
+    it holds more rows than the search's largest constant grid, so a large
+    search holds a few such grids' points at a time and a small one makes
+    few stacks.
     """
-    limit = len(search.grid(search.n))
     patterns, firsts, found, scores, stack = [], [], [], [], []
     held = stacked = 0  # rows of all patterns so far, and of those in the stack
 
@@ -414,19 +490,17 @@ def _float_pass(search, ties):
         found.append(first + ok)
         scores.append(search.score(points[ok]))
 
-    for line in (False, True) if search.metric == "K" else (False,):
-        for groups, chosen in _patterns(search.n, len(search.rows), line, search.normalized, ties):
-            pattern = search.candidates(groups, chosen, line)
-            if pattern is not None and len(pattern[1]):
-                if stack and stacked + len(pattern[1]) > limit:
-                    check(held - stacked)
-                    stacked = 0
-                system, values, points = pattern
-                patterns.append((groups, chosen, system, values))
+    for solved, points in _stacks(search, ties):
+        for pattern in solved:
+            if len(pattern[3]):
+                patterns.append(pattern)
                 firsts.append(held)
-                stack.append(points)
-                held += len(values)
-                stacked += len(values)
+                held += len(pattern[3])
+        stack.append(points)
+        stacked += len(points)
+        if stacked > search.limit:
+            check(held - stacked)
+            stacked = 0
     if stack:
         check(held - stacked)
     return (patterns, firsts, np.concatenate([np.empty(0, int), *found]),
@@ -434,14 +508,14 @@ def _float_pass(search, ties):
 
 
 def _exact_minimizers(search, ties):
-    """(float candidates, exact minimizers lexicographically descending) over the cell vertices.
+    """(float candidates, exact minimum, its minimizers lexicographically descending).
 
-    ``ties`` caps the tie groups of the patterns searched.  Each pattern's
-    constant assignments are solved in floats, and stacks of patterns are
-    checked and scored in one float pass each (``_float_pass``).  A
-    float-feasible candidate is only a row number until it is rescored:
-    the candidates within 1e-9 of the best are solved, checked and scored
-    exactly.
+    ``ties`` caps the tie groups of the patterns searched.  The patterns
+    are solved, checked and scored in floats a stack of one shape at a
+    time (``_float_pass``).  A float-feasible candidate is only a row
+    number until it is rescored: the candidates within 1e-9 of the best
+    are solved, checked and scored exactly, in integers over one
+    denominator per point.
     """
     patterns, firsts, found, scores = _float_pass(search, ties)
     best, optima = None, set()
@@ -457,8 +531,9 @@ def _exact_minimizers(search, ties):
                 if best is None or s < best:
                     best, optima = s, set()
                 if s == best:
-                    optima.add(tuple(point))
-    return len(scores), sorted(optima, reverse=True)
+                    numerators, den = point
+                    optima.add(tuple(Fraction(x, den) for x in numerators))
+    return len(scores), best, sorted(optima, reverse=True)
 
 
 class _ViolationSearch(_VertexSearch):
@@ -489,15 +564,15 @@ class _ViolationSearch(_VertexSearch):
         return ((points >= -_FEAS_TOL) & (points <= 1.0 + _FEAS_TOL)).all(axis=1)
 
     def exact_feasible(self, point):
-        return all(0 <= x <= 1 for x in point)
+        numerators, den = point
+        return all(0 <= x <= den for x in numerators)
 
     def score(self, points):
         return np.ldexp(np.maximum(self.outside(points), 0.0), self.units).sum(axis=1)
 
     def exact_score(self, point):
-        den, violations = self.exact_violations(point)
-        return sum(Fraction(v, den) * Fraction(2) ** (u - s)
-                   for v, u, s in zip(violations, self.units.tolist(), self.shifts))
+        return sum(Fraction(v, point[1]) * Fraction(2) ** (u - s) for v, u, s
+                   in zip(self.exact_violations(point), self.units.tolist(), self.shifts))
 
 
 def _raise_infeasible(problem, context):
@@ -508,8 +583,8 @@ def _raise_infeasible(problem, context):
     means the rows are met but no coordinate can reach 1.
     """
     search = _ViolationSearch(problem)
-    point = _exact_minimizers(search, 0)[1][0]
-    violation = search.exact_score(point) * Fraction(2) ** search.scale
+    _, least, (point, *_) = _exact_minimizers(search, 0)
+    violation = least * Fraction(2) ** search.scale
     if not violation:
         raise InfeasibleProblemError(
             f"{context}: the constraints admit no normalized assignment "
@@ -548,7 +623,8 @@ def solve_max_u(problem):
     if n > _MAX_U_SIZE:
         raise ValueError(f"vertex enumeration is capped at {_MAX_U_SIZE} labels")
     # -U is concave where one coordinate is the largest: see the docstring
-    count, optimal = _exact_minimizers(_VertexSearch(problem), int(not problem.require_normalized))
+    search = _VertexSearch(problem)
+    count, _, optimal = _exact_minimizers(search, int(not problem.require_normalized))
     if not optimal:
         _raise_infeasible(problem, "maximum-uncertainty selection")
     dist = DiscreteDistribution(problem.labels, [float(x) for x in optimal[0]])
@@ -581,7 +657,7 @@ def solve_min_distance(problem):
     n = len(problem.labels)
     if n > _MIN_DIST_SIZE:
         raise ValueError(f"minimum-distance search is capped at {_MIN_DIST_SIZE} labels")
-    count, tied = _exact_minimizers(_VertexSearch(problem), None)
+    count, _, tied = _exact_minimizers(_VertexSearch(problem), None)
     if not tied:
         _raise_infeasible(problem, "minimum-distance selection")
     dist = DiscreteDistribution(problem.labels, [float(x) for x in tied[0]])
@@ -594,6 +670,18 @@ def solve_min_distance(problem):
     }
     value = (big_g if metric == "G" else big_k)(dist, problem.objective.prior)
     return InferenceSolution(dist, value, certificate)
+
+
+def _inserted(ascending, x):
+    """The rows of ``ascending`` with x inserted, C-contiguous: what np.sort gives.
+
+    Entry c of a row is max(a_c-1, min(a_c, x)), with a_-1 = -inf and a_k = inf.
+    """
+    out = np.empty((len(ascending), ascending.shape[1] + 1))
+    np.minimum(ascending, x, out=out[:, :-1])
+    out[:, -1] = x
+    np.maximum(out[:, 1:], ascending, out=out[:, 1:])
+    return out
 
 
 def brute_force_oracle(problem, resolution):
@@ -615,9 +703,13 @@ def brute_force_oracle(problem, resolution):
         metric = problem.objective.metric
         up = _u_of_values(prior)
 
-    # one slice of the grid per first coordinate, which is written in place
+    # one slice of the grid per first coordinate, which is written in place;
+    # the other coordinates are sorted once, and beside them their join with the prior
     block = np.empty((len(axis) ** (n - 1), n))
     block[:, 1:] = _grid(axis, n - 1)
+    tails = np.sort(block[:, 1:], axis=1)
+    if minimize:
+        tails = np.hstack([tails, np.sort(np.maximum(block[:, 1:], prior[1:]), axis=1)])
     reach = (block[:, 1:] >= 1.0 - 1e-9).any(axis=1) | (not problem.require_normalized)
     best_obj, best_row = -np.inf, None
     feasible_count = 0
@@ -627,19 +719,20 @@ def brute_force_oracle(problem, resolution):
         for c in problem.constraints:
             excess = block @ np.asarray(c.coefficients) - c.bound
             mask &= {"<=": excess, ">=": -excess, "=": np.abs(excess)}[c.relation] <= 1e-9
-        rows = block[mask]
+        rows = np.flatnonzero(mask)
         if not len(rows):
             continue
         feasible_count += len(rows)
-        obj = _u_of_rows(rows)
+        sorted_tails = tails[rows]
+        obj = _u_of_ascending(_inserted(sorted_tails[:, :n - 1], v0))
         if minimize:  # track maxima uniformly
-            uj = _u_of_rows(np.maximum(rows, prior))
+            uj = _u_of_ascending(_inserted(sorted_tails[:, n - 1:], max(v0, prior[0])))
             obj = -((uj - obj) + (uj - up) if metric == "G" else uj - np.minimum(obj, up))
         top = obj.max()
         # rows and slices ascend lexicographically: the last tied point is the largest
         if top > best_obj + 1e-12 or abs(top - best_obj) <= 1e-12:
             best_obj = max(top, best_obj)
-            best_row = rows[np.flatnonzero(obj >= top - 1e-12)[-1]]
+            best_row = block[rows[np.flatnonzero(obj >= top - 1e-12)[-1]]].copy()
 
     if best_row is None:
         raise InfeasibleProblemError(

@@ -12,8 +12,11 @@ per-region enumeration and the minimum-distance posterior by the former
 multi-start coordinate descent where the library enumerates cell
 vertices exactly, the least summed violation of an infeasible problem by
 solving every n-subset of its hyperplanes and box faces where the library
-walks its tie patterns, and the [x, v] pairs of a document by the former
-per-pair reader where the library checks them in one pass.  They exist
+walks its tie patterns, the vertex search's float points by the former
+per-pattern solve where the library solves a stack of one shape at once
+and its exact rescoring in ``Fraction`` arithmetic where the library
+keeps integers over one denominator, and the [x, v] pairs of a document
+by the former per-pair reader where the library checks them in one pass.  They exist
 so the main code paths can be checked against independently computed
 values.
 """
@@ -45,8 +48,9 @@ from possinfo.inference import (
     _position_weights,
     _raise_infeasible,
     _solve_integer,
+    _system,
 )
-from possinfo.measures import _u_of_values
+from possinfo.measures import _log_weights, _u_of_rows, _u_of_values
 from simplex import solve_lp
 
 
@@ -472,10 +476,130 @@ def _region_vertices(problem):
 
 def _max_u_vertices(n, vertices):
     """Vertices of exactly maximal U, lexicographically descending."""
-    weights = _position_weights(n)
+    weights, den = _position_weights(n)
+    weights = [Fraction(w, den) for w in weights]
     scores = {v: sum(w * x for w, x in zip(weights, sorted(v, reverse=True))) for v in vertices}
     best = max(scores.values())
     return sorted((v for v, s in scores.items() if s == best), reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# the vertex search pattern by pattern, rescored in Fractions (its former form)
+
+
+def exact_u_by_fractions(point):
+    """U of an exact point, one Fraction product per position."""
+    weights = [Fraction(0), *map(Fraction, _log_weights(len(point)).tolist())]
+    return sum(w * x for w, x in zip(weights, sorted(point, reverse=True)))
+
+
+def _exact_point(rows, n, chosen, system, fixed):
+    """The exact point whose solved groups satisfy the chosen rows, ``fixed`` giving the rest."""
+    _, solved, inverse, den = system
+    rhs = [rows[r][2] - sum(rows[r][0][j] * x for j, x in fixed.items()) for r in chosen]
+    scale = math.lcm(*(x.denominator for x in rhs))
+    ints = [x.numerator * (scale // x.denominator) for x in rhs]
+    point = dict(fixed)
+    for g, row in zip(solved, inverse):
+        point.update(dict.fromkeys(g, Fraction(sum(a * b for a, b in zip(row, ints)), den * scale)))
+    return [point[j] for j in range(n)]
+
+
+def exact_points_by_fractions(search, groups, chosen, system, fixed_values):
+    """A search pattern's exact points for one constant assignment, as lists of Fractions."""
+    pivot = system[0]
+    fixed = [j for j in range(search.n) if all(j not in g for g in groups)]
+    known = {j: Fraction(x) for j, x in zip(fixed, fixed_values.tolist())}
+    ends = (_exact_point(search.rows, search.n, chosen, system,
+                         {**known, **dict.fromkeys(pivot, Fraction(t))}) for t in (0, 1))
+    zero = next(ends)
+    if not pivot:
+        return [zero]
+    slope = [y - x for x, y in zip(zero, next(ends))]
+    cuts = {(Fraction(c) - x) / s for x, s in zip(zero, slope) if s for c in search.consts.tolist()}
+    cuts.update((x2 - x1) / (s1 - s2) for (x1, s1), (x2, s2)
+                in itertools.combinations(zip(zero, slope), 2) if s1 != s2)
+    cuts = sorted(cuts)
+    up = exact_u_by_fractions([Fraction(x) for x in search.prior.tolist()])
+    f = [exact_u_by_fractions([x + s * t for x, s in zip(zero, slope)]) - up for t in cuts]
+    roots = [lo + (hi - lo) * flo / (flo - fhi)
+             for lo, hi, flo, fhi in zip(cuts, cuts[1:], f, f[1:]) if flo * fhi < 0]
+    return [[x + s * t for x, s in zip(zero, slope)] for t in roots]
+
+
+def exact_score_by_fractions(search, point):
+    """A vertex search's objective at an exact point of Fractions."""
+    uv = exact_u_by_fractions(point)
+    if search.metric is None:
+        return -uv
+    prior = [Fraction(x) for x in search.prior.tolist()]
+    uj, up = exact_u_by_fractions(list(map(max, point, prior))), exact_u_by_fractions(prior)
+    return 2 * uj - uv - up if search.metric == "G" else uj - min(uv, up)
+
+
+def violation_score_by_fractions(search, point):
+    """A violation search's summed violation at an exact point of Fractions, in its units."""
+    total = Fraction(0)
+    for (coeffs, rel, bound), u, s in zip(search.rows, search.units.tolist(), search.shifts):
+        excess = sum(a * x for a, x in zip(coeffs, point)) - bound
+        violation = {"<=": max(excess, 0), ">=": max(-excess, 0), "=": abs(excess)}[rel]
+        total += violation * Fraction(2) ** (u - s)
+    return total
+
+
+def candidates_by_pattern(search, groups, chosen, line):
+    """(system, constant assignments, float points) of one search pattern, or None if singular.
+
+    The vertex search's former float solve, one pattern at a time: the
+    same float operations on each pattern alone, a K line's direction
+    from two exact points, and the exact solve of an ill-conditioned
+    system in Fractions.
+    """
+    fixed = [j for j in range(search.n) if all(j not in g for g in groups)]
+    system = _system(search.rows, groups, chosen, line)
+    if system is None:
+        return None
+    values = search.grid(len(fixed))
+    if not groups:
+        return system, values, values
+    pivot, solved, inverse, den = system
+    k = len(chosen)
+    a, b = search.a[list(chosen)], search.b[list(chosen)][:, None]
+    rhs = b - a[:, fixed] @ values.T
+    slack = search.slack[list(chosen)][:, None]
+    try:
+        inv = np.array([[(x << search.shifts[r]) / den for x, r in zip(row, chosen)]
+                        for row in inverse]).reshape(k, k)
+    except OverflowError:
+        inv = np.full((k, k), np.inf)
+    if (np.abs(inv) @ slack > 1e-12).any():
+        sums = np.array([[a[i, g].sum() for g in groups] for i in range(k)])
+        low = np.minimum(sums, 0.0).sum(axis=1)[:, None] - 1e6 * slack
+        high = np.maximum(sums, 0.0).sum(axis=1)[:, None] + 1e6 * slack
+        found = [(v, p) for v in values[((rhs >= low) & (rhs <= high)).all(axis=0)]
+                 for p in exact_points_by_fractions(search, groups, chosen, system, v)]
+        return (system, np.array([v for v, _ in found]).reshape(len(found), len(fixed)),
+                np.array([p for _, p in found], dtype=float).reshape(len(found), search.n))
+    points = np.zeros((len(values), search.n))
+    points[:, fixed] = values
+    for g, t in zip(solved, inv @ rhs):
+        points[:, g] = t[:, None]
+    if not line:
+        return system, values, points
+    base = dict.fromkeys(fixed, 0)
+    ends = [_exact_point(search.rows, search.n, chosen, system, {**base, **dict.fromkeys(pivot, t)})
+            for t in (0, 1)]
+    step = np.array([float(y - x) for x, y in zip(*ends)])
+    reps = [g[0] for g in groups]
+    cuts = [(search.consts - points[:, [j]]) / step[j] for j in reps if step[j]]
+    cuts += [(points[:, [h]] - points[:, [j]]) / (step[j] - step[h])
+             for j, h in itertools.combinations(reps, 2) if step[j] != step[h]]
+    cuts = np.sort(np.hstack(cuts), axis=1)
+    f = _u_of_rows(points[:, None, :] + cuts[:, :, None] * step) - search.u_prior
+    row, i = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
+    lo, hi, flo, fhi = cuts[row, i], cuts[row, i + 1], f[row, i], f[row, i + 1]
+    roots = lo + (hi - lo) * flo / (flo - fhi)
+    return system, values[row], points[row] + roots[:, None] * step
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,14 @@ from possinfo import (
 )
 import possinfo.inference as inference
 from possinfo.inference import (
+    _dyadic,
+    _float_pass,
     _grid,
     _partitions,
     _patterns,
     _position_weights,
     _solve_integer,
+    _stacks,
     _system,
     _VertexSearch,
     _ViolationSearch,
@@ -41,9 +44,13 @@ from conftest import (
     _base_rows,
     _max_u_vertices,
     _region_vertices,
+    candidates_by_pattern,
+    exact_points_by_fractions,
+    exact_score_by_fractions,
     max_u_by_orderings,
     min_distance_by_descent,
     violation_by_arrangement,
+    violation_score_by_fractions,
 )
 from test_solver_answers import ANSWERS, answer, answer_problems
 
@@ -320,6 +327,95 @@ class TestSearchParts:
         assert [answer(p) for p in problems] == expected
 
 
+def seeded_searches(extreme=True):
+    """(search, ties) of the seeded answer problems and, when ``extreme``, the extreme rows."""
+    problems = list(answer_problems())
+    prior = DiscreteDistribution(("a", "b"), (1.0, 0.5))
+    for row, _ in EXTREME_ROWS if extreme else ():
+        problems += [problem(("a", "b"), (row,), objective) for objective
+                     in (MaxU(), MinDistance(prior, "G"), MinDistance(prior, "K"))]
+    for p in problems:
+        max_u = isinstance(p.objective, MaxU)
+        yield _VertexSearch(p), int(not p.require_normalized) if max_u else None
+
+
+class TestStackedSearch:
+    """The stacked float pass and the integer rescoring against their former forms."""
+
+    def test_stacks_match_the_per_pattern_solve(self):
+        lines = kinds = 0
+        for search, ties in seeded_searches():
+            got = {}
+            for patterns, points in _stacks(search, ties):
+                first = 0
+                for groups, chosen, system, values in patterns:
+                    rows = points[first:first + len(values)]
+                    first += len(values)
+                    if len(values):
+                        got[bool(system[0]), str(groups), chosen] = (system, values, rows)
+                assert first == len(points)
+            expected = {}
+            for line in (False, True) if search.metric == "K" else (False,):
+                for groups, chosen in _patterns(search.n, len(search.rows), line,
+                                                search.normalized, ties):
+                    found = candidates_by_pattern(search, groups, chosen, line)
+                    if found is not None and len(found[1]):
+                        expected[line, str(groups), chosen] = found
+            assert got.keys() == expected.keys()
+            for key, (system, values, points) in expected.items():
+                assert got[key][0] == system
+                for a, b in zip(got[key][1:], (values, points)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+            lines += sum(line for line, _, _ in got)
+            kinds += 1
+        assert kinds == 321 and lines > 100
+
+    def test_integer_rescoring_matches_fractions(self, monkeypatch):
+        seen = {"vertex": 0, "line": 0, "score": 0, "violation": 0}
+        points, score, violation = (_VertexSearch.exact_points, _VertexSearch.exact_score,
+                                    _ViolationSearch.exact_score)
+
+        def fractions(point):
+            numerators, den = point
+            return [Fraction(x, den) for x in numerators]
+
+        def checked_points(search, groups, chosen, system, values):
+            got = points(search, groups, chosen, system, values)
+            expected = exact_points_by_fractions(search, groups, chosen, system, values)
+            assert list(map(fractions, got)) == expected
+            seen["line" if system[0] else "vertex"] += len(got)
+            return got
+
+        def checked_score(search, point):
+            got = score(search, point)
+            assert got == exact_score_by_fractions(search, fractions(point))
+            seen["score"] += 1
+            return got
+
+        def checked_violation(search, point):
+            got = violation(search, point)
+            assert got == violation_score_by_fractions(search, fractions(point))
+            seen["violation"] += 1
+            return got
+
+        monkeypatch.setattr(_VertexSearch, "exact_points", checked_points)
+        monkeypatch.setattr(_VertexSearch, "exact_score", checked_score)
+        monkeypatch.setattr(_ViolationSearch, "exact_score", checked_violation)
+        for p in answer_problems():
+            answer(p)
+        assert min(seen.values()) > 10, seen
+
+    def test_float_pass_makes_no_fractions(self, monkeypatch):
+        searches = list(seeded_searches(extreme=False))
+
+        def refuse(*args):
+            raise AssertionError("the float pass made a Fraction")
+
+        monkeypatch.setattr(inference, "Fraction", refuse)
+        metrics = {search.metric for search, ties in searches if _float_pass(search, ties)[0]}
+        assert metrics == {None, "G", "K"}
+
+
 class TestConstraintValidation:
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -367,9 +463,9 @@ class TestSolveMaxU:
 
     def test_position_weights_are_the_scoring_weights_exactly(self):
         for n in range(1, 65):
-            weights = _position_weights(n)
+            weights, den = _position_weights(n)
             assert weights[0] == 0
-            assert weights[1:] == [Fraction(w) for w in _log_weights(n).tolist()]
+            assert [Fraction(w, den) for w in weights[1:]] == list(map(Fraction, _log_weights(n)))
 
     def test_unnormalized_optimum_needs_its_one_tie_group(self):
         # (0.5, 0.5) ties both coordinates on the row; without that group
@@ -564,7 +660,7 @@ class TestRowRelations:
         grid = np.array(points)
         assert _VertexSearch(prob).feasible(grid).tolist() == [not any(v) for v in violations]
         witness = _ViolationSearch(prob)
-        exact = [witness.exact_score([Fraction(x) for x in p]) for p in points]
+        exact = [witness.exact_score(_dyadic(p)) for p in points]
         assert [e * 2**witness.scale for e in exact] == [sum(v) for v in violations]
         assert witness.score(grid).tolist() == [float(e) for e in exact]
 
@@ -767,6 +863,17 @@ class TestBruteForceOracle:
     def test_unconstrained_max_u(self):
         sol = brute_force_oracle(problem(("a", "b"), ()), 0.1)
         assert sol.distribution.values == (1.0, 1.0)
+
+    def test_inserted_rows_are_what_sort_gives(self):
+        gen = np.random.default_rng(7)
+        for k in range(4):
+            # sorted rows with ties, alone and as a column slice of a wider array
+            wide = np.sort(gen.integers(0, 5, (300, 2 * k)) / 4.0, axis=1)
+            for ascending in (np.sort(wide[:, k:], axis=1), wide[:, :k]):
+                for x in (0.0, 0.25, 0.6, 1.0):
+                    got = inference._inserted(ascending, x)
+                    expected = np.sort(np.column_stack([np.full(300, x), ascending]), axis=1)
+                    assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
 
     def test_grid_feasible_pin(self):
         prob = problem(("a", "b"), (LinearConstraint((1, 0), "=", 0.4),))
