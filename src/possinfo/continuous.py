@@ -31,7 +31,6 @@ from .errors import DivergenceError, OrderViolationError
 _SNAP = 1e-12
 _REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
-_SQUARE_MAX = 2.0**512  # the least float whose square overflows
 
 
 def _float_array(values):
@@ -157,9 +156,27 @@ def sample_function(evaluator, n_breakpoints):
     return PiecewisePossibility(np.column_stack((xs, vs)))
 
 
-def _eval(c, t):
-    """Anchored pieces c at offsets t = y - (top bound) <= 0, elementwise."""
-    return c[..., 0] + t * (c[..., 1] + t * c[..., 2])
+def _eval(c, u):
+    """Anchored pieces c at offsets u <= 0 in their units (see ``LevelMeasure``), elementwise."""
+    return c[..., 0] + u * (c[..., 1] + u * c[..., 2])
+
+
+def _fold(v, e):
+    """v * 2^e, elementwise; 0 or +-inf past the float range."""
+    if not np.any(e):
+        return v
+    with np.errstate(over="ignore"):
+        return np.ldexp(v, e)
+
+
+def _normalized(c, e):
+    """Rows c over 2^e, rescaled by exact powers of two to obey the range rule of ``LevelMeasure``."""
+    x = np.frexp(c)[1]  # binary exponents of the coefficients, 0 for 0
+    if not e.any() and np.abs(x).max() <= 510:
+        return c, e
+    x = np.where(c != 0.0, x + e[:, None], 0)
+    new = np.where(np.abs(x).max(axis=1) <= 510, 0, np.frexp(np.abs(c).max(axis=1))[1] + e - 509)
+    return np.ldexp(c, (e - new)[:, None]), new
 
 
 class LevelMeasure:
@@ -171,16 +188,25 @@ class LevelMeasure:
     piece boundaries encode plateaus of the underlying function.  ``total``
     is P(0), the measure of the whole domain.
 
-    Each piece is anchored at its top level: the row (d0, d1, d2) means
-    P(y) = d0 + t * (d1 + t * d2) with t = y - b_{k+1} <= 0, so d0 is the
-    value at b_{k+1} and d1 the slope there.  For nonincreasing pieces
-    d1 <= 0, and for the pieces built here d2 >= 0, so every term is
-    nonnegative and evaluation never cancels, however steep the piece.
-    Rows are (d0, d1) or (d0, d1, d2), or a K-by-3 array; ``bounds`` and
-    ``coeffs`` are tuples built from the read-only arrays on each access.
+    A piece is anchored at its top level, in the offset unit 2^s with its
+    height in [2^(s-1), 2^s), and carries an integer exponent e: its row
+    (d0, d1, d2) means P = 2^e (d0 + u (d1 + u d2)), u = (y - b_{k+1}) / 2^s.
+    For the pieces built here no coefficient exceeds twice P on the piece,
+    however steep, and d1 <= 0 <= d2, so evaluation never cancels.  As
+    the information integral, each jump's ln P(y-) - ln P(y+) and a piece's
+    inverse do not change when the piece is multiplied by a power of two,
+    one rule sets e: 0 while every nonzero coefficient lies in
+    [2^-511, 2^510), where the square or product of two is a normal float
+    below 2^1020, so that discriminants and product rows need no scaling;
+    else the power of two that brings the largest |coefficient| into
+    [2^508, 2^509), keeping the most bits of the others.  Rows are given in
+    t = y - b_{k+1}, as (d0, d1) or (d0, d1, d2) or a K-by-3 array of finite
+    floats.  ``bounds`` and ``coeffs`` are tuples built on each access;
+    ``coeffs`` folds unit and exponent back in, which reads 0 or +-inf for a
+    piece past the float range, while the level measure keeps it.
     """
 
-    __slots__ = ("_b", "_c", "total")
+    __slots__ = ("_b", "_c", "_e", "_s", "total")
 
     def __init__(self, bounds, coeffs, total):
         b = _float_array(bounds)
@@ -193,12 +219,23 @@ class LevelMeasure:
             raise ValueError("pieces must cover exactly [0, 1]")
         if not (b[1:] > b[:-1]).all():
             raise ValueError("bounds must be strictly increasing")
+        s = np.frexp(b[1:] - b[:-1])[1]  # the rule before and after the change of unit: nothing underflows
+        c, e = _normalized(c, np.zeros(len(c), dtype=int))
+        self._set(b, *_normalized(np.ldexp(c, np.outer(s, (0, 1, 2))), e), total, s)
+
+    @classmethod
+    def _scaled(cls, b, c, e, total, s):
+        """The builders' path: rows c in the units 2^s of each piece, each under the range rule."""
+        level = object.__new__(cls)
+        level._set(b, c, e, total, s)
+        return level
+
+    def _set(self, b, c, e, total, s):
         total = float(total)
-        if not (np.isfinite(c).all() and math.isfinite(total)):
+        if not (math.isfinite(c.sum()) and math.isfinite(total)):
             raise ValueError("level measure coefficients and total must be finite")
-        object.__setattr__(self, "_b", _frozen(b))
-        object.__setattr__(self, "_c", _frozen(c))
-        object.__setattr__(self, "total", total)
+        for name, value in zip(self.__slots__, (*map(_frozen, (b, c, e, s)), total)):
+            object.__setattr__(self, name, value)
 
     @property
     def bounds(self):
@@ -206,28 +243,28 @@ class LevelMeasure:
 
     @property
     def coeffs(self):
-        return tuple(map(tuple, self._c.tolist()))
+        return tuple(map(tuple, _fold(self._c, self._e[:, None] - np.outer(self._s, (0, 1, 2))).tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LevelMeasure is immutable")
 
     def __reduce__(self):
-        return LevelMeasure, (self._b, self._c, self.total)
+        return LevelMeasure._scaled, (self._b, self._c, self._e, self.total, self._s)
 
     def __eq__(self, other):
         if not isinstance(other, LevelMeasure):
             return NotImplemented
         return (self.total == other.total and np.array_equal(self._b, other._b)
-                and np.array_equal(self._c, other._c))
+                and np.array_equal(self._c, other._c) and np.array_equal(self._e, other._e))
 
     def __hash__(self):
-        return hash((self.bounds, self.coeffs, self.total))
+        return hash((self.bounds, tuple(self._c.ravel().tolist()), tuple(self._e.tolist()), self.total))
 
     def __repr__(self):
         return f"LevelMeasure({len(self._c)} pieces, total={self.total:g})"
 
     def piece_value(self, k, y):
-        return float(_eval(self._c[k], y - self._b[k + 1]))
+        return float(_fold(_eval(self._c[k], np.ldexp(y - self._b[k + 1], -self._s[k])), self._e[k]))
 
     def __call__(self, y):
         y = float(y)
@@ -244,9 +281,7 @@ def level_measure(f):
     Each non-constant segment spanning values [lo, hi] contributes
     (hi - y) * width / (hi - lo) for levels inside its span and its full
     width below; constant segments contribute their width up to their
-    value, creating the downward jump there.  A segment whose rate
-    width / (hi - lo) exceeds the largest float over the segment count
-    counts as constant at lo, so that no sum of rates overflows.
+    value, creating the downward jump there.
 
     The bounds b are the distinct values; ``np.unique`` also gives each
     value's index in b, so a segment spans the pieces from its lo's index
@@ -254,71 +289,89 @@ def level_measure(f):
     suffix sum of full widths, sorted by lo, there.  Each piece's value
     and slope is summed freshly over the segments spanning it, in one
     array pass over the (piece, segment) incidences: no cancellation.
+    A row the pass cannot hold is summed again on widths over 2^e (see
+    ``LevelMeasure``), where no rate overflows and no width loses bits.
     """
     vs, w = f.vs, f.xs[1:] - f.xs[:-1]
-    hi = np.maximum(vs[:-1], vs[1:])
+    hi, lo = np.maximum(vs[:-1], vs[1:]), np.minimum(vs[:-1], vs[1:])
     b, at = np.unique(np.concatenate(([0.0, 1.0], vs)), return_inverse=True)
-    K = len(b) - 1
+    K, s = len(b) - 1, np.frexp(b[1:] - b[:-1])[1]  # each piece's unit 2^s
     first, count = np.minimum(at[2:-1], at[3:]), np.abs(at[3:] - at[2:-1])
-
-    # a segment too steep for every sum of rates to be a float counts as
-    # constant at its low value: its mass then enters P as a jump at lo
-    with np.errstate(divide="ignore", over="ignore"):
-        rate = w / (hi - np.minimum(vs[:-1], vs[1:]))
-    finite = rate <= _HUGE / len(w)
 
     def mass_at_or_above(k):
         # full width of the segments k with lo >= y, at y = 0 and at b[1:]
-        suffix = np.concatenate((np.cumsum(w[k][np.argsort(first[k], kind="stable")][::-1])[::-1], [0.0]))
-        return suffix[0], suffix[np.cumsum(np.bincount(first[k], minlength=K))[:K]]
+        fk = first[k]
+        suffix = np.concatenate((np.cumsum(w[k][np.argsort(fk, kind="stable")][::-1])[::-1], [0.0]))
+        return suffix[0], suffix[np.cumsum(np.bincount(fk, minlength=K))[:K]]
 
-    (total, top), (total_c, top_c) = mass_at_or_above(finite), mass_at_or_above(~finite)
+    flat = count == 0
+    total, top = mass_at_or_above(~flat)
+    if flat.any():  # constant segments are summed apart, as jumps at their values
+        total_c, top_c = mass_at_or_above(flat)
+        total, top = total + total_c, top + top_c
 
     # one row per incidence: a segment's rate and hi repeat over its pieces
-    count, rate = count[finite], rate[finite]
-    r = np.repeat(rate, count)
-    piece = np.arange(len(r)) + np.repeat(first[finite] - (np.cumsum(count) - count), count)
-    m = 0.0 - np.bincount(piece, weights=r, minlength=K)
-    spanned = np.bincount(piece, weights=r * (np.repeat(hi[finite], count) - b[1:][piece]), minlength=K)
-    return LevelMeasure(b, np.column_stack((top + top_c + spanned, m, np.zeros(K))), float(total + total_c))
+    piece = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    above = np.repeat(hi, count) - b[1:][piece]
+
+    def rows(r, spanned, top):
+        m = 0.0 - np.bincount(piece, weights=r, minlength=K)
+        return top + np.bincount(piece, weights=spanned, minlength=K), m
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.repeat(w / (hi - lo), count)
+        d0, m = rows(r, r * above, top)
+        d1 = np.ldexp(m, s)
+    c = np.column_stack((d0, d1, np.zeros(K)))
+    # in units no finite coefficient exceeds 2, so rows are redone where one lies below the band,
+    # where a rate overflowed, or where P, positive under the largest value, lost its top value
+    # or (on the piece ending there) its slope to underflow; P falls with y, so the top values
+    # under the largest value are least on the piece ending just below it
+    e, below, low = np.zeros(K, dtype=int), at[2:].max() - 1, 2.0**-511
+    if (np.frexp(d1)[1].min() < -510 or m.min() == -np.inf or (below > 0 and d0[below - 1] < low)
+            or 0.0 < d0[below] < low or not (d0[below] or d1[below])):
+        x = np.frexp(c)[1]
+        lost = (d0 == 0.0) & (np.arange(K) < below + (d1 == 0.0))
+        redo = (x.min(axis=1) < -510) | (m == -np.inf) | lost
+        # e from the largest coefficient or, where a rate overflowed, from 2, above every one
+        big = np.where(np.isfinite(c[:, 1]), np.frexp(np.maximum(c[:, 0], -c[:, 1]))[1], 2)
+        e = np.where(redo, big - 509, 0)
+        span = np.repeat(hi - lo, count)
+        (mw, xw), (ms, xs) = np.frexp(np.repeat(w, count)), np.frexp(span)
+        r, spanned = np.ldexp(mw / ms, xw - xs + (s - e)[piece]), mw * np.ldexp(above / span, xw - e[piece])
+        again, e = _normalized(np.column_stack((*rows(r, spanned, np.ldexp(top, -e)), np.zeros(K))), e)
+        c[redo], e = again[redo], np.where(redo, e, 0)
+    return LevelMeasure._scaled(b, c, e, float(total), s)
 
 
-def _square_scale(d1):
-    """Powers of two s: 1 where d1 * d1 is finite, else taking |d1 s| below 2^511."""
-    big = ~(np.abs(d1) < _SQUARE_MAX)
-    return np.ldexp(1.0, np.where(big, 511 - np.frexp(d1)[1], 0)) if big.any() else np.ones(len(d1))
-
-
-def _invert(d0, d1, d2, ya, yb, x):
+def _invert(d0, d1, d2, s, ya, yb, x):
     """Solve P(y) = x on nonincreasing quadratic pieces, elementwise.
 
-    With e = x - d0 >= 0 the offset t solves d2 t^2 + d1 t - e = 0; the
-    root on the piece is taken in the form that adds -d1 >= 0 to the
-    square root, so it never cancels.  Where d1 * d1 would overflow, e, d1
-    and d2 are scaled by ``_square_scale`` first, which leaves t as it is.
+    Rows and x are in each piece's units (see ``LevelMeasure``).  With
+    e = x - d0 >= 0 the offset u solves d2 u^2 + d1 u - e = 0; the root on
+    the piece is taken in the form that adds -d1 >= 0 to the square root,
+    so it never cancels, and y = yb + 2^s u.
     """
     e = x - d0
-    if not (np.abs(d1) < _SQUARE_MAX).all():
-        s = _square_scale(d1)
-        e, d1, d2 = e * s, d1 * s, d2 * s
-    t = -2.0 * e / (-d1 + np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * e, 0.0)))
-    return np.clip(yb + t, ya, yb)
+    u = -2.0 * e / (-d1 + np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * e, 0.0)))
+    return np.clip(yb + np.ldexp(u, s), ya, yb)
 
 
-def _quad_inverse_points(c, ya, yb, pa, pb):
+def _quad_inverse_points(c, e, ya, yb, pa, pb):
     """Sampled inverse graphs of quadratic pieces, refined breadth-first.
 
-    The graph of piece j runs from (pb[j], yb[j]) to (pa[j], ya[j]).  An
-    interval is halved until the chord midpoint is within tol/2 of the
-    true inverse, tol = ``_REARRANGE_TOL`` bounding the interpolant's
-    sup-norm error for the convex/concave inverse of a monotone quadratic.
+    The graph of piece j (row c[j], exponent e[j]) runs from (pb[j], yb[j])
+    to (pa[j], ya[j]).  An interval is halved until the chord midpoint is
+    within tol/2 of the true inverse, tol = ``_REARRANGE_TOL`` bounding the
+    interpolant's sup-norm error for the convex/concave inverse of a
+    monotone quadratic.
     Each depth inverts all its intervals at once, on coefficient columns
     gathered once, after ending those under the width floor; a halved
     interval's halves are written side by side, keeping piece and x order.
     Returns the piece, x and y of each final interval's right end, so sorted.
     """
     d0, d1, d2 = (np.ascontiguousarray(col) for col in c.T)
-    found, j = [], np.arange(len(c))
+    found, j, scaled, s = [], np.arange(len(c)), e.any(), np.frexp(yb - ya)[1]
     x0, y0, x1, y1 = pb, yb, pa, ya
     for _ in range(64):
         # the 8e-15 width floor ends intervals too narrow in x to hold a useful
@@ -328,7 +381,7 @@ def _quad_inverse_points(c, ya, yb, pa, pb):
             found.append((j[narrow], x1[narrow], y1[narrow]))
             j, x0, y0, x1, y1 = (a[~narrow] for a in (j, x0, y0, x1, y1))
         xm = 0.5 * (x0 + x1)
-        ym = _invert(d0[j], d1[j], d2[j], ya[j], yb[j], xm)
+        ym = _invert(d0[j], d1[j], d2[j], s[j], ya[j], yb[j], np.ldexp(xm, -e[j]) if scaled else xm)
         near = np.abs(ym - 0.5 * (y0 + y1)) <= 0.5 * _REARRANGE_TOL
         found.append((j[near], x1[near], y1[near]))
         far = ~near
@@ -362,14 +415,14 @@ def rearrange(level):
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
-    b, c = level._b, level._c
+    b, c, e = level._b, level._c, level._e
     K = len(c)
     ya, yb = b[:-1], b[1:]
-    pa, pb = _eval(c, ya - yb), c[:, 0]
+    pa, pb = _fold(_eval(c, np.ldexp(ya - yb, -level._s)), e), _fold(c[:, 0], e)
     quad = (pa > pb) & (c[:, 2] != 0.0)
     lin = np.flatnonzero(~quad)
     q = np.flatnonzero(quad)
-    qj, qx, qy = _quad_inverse_points(c[q], ya[q], yb[q], pa[q], pb[q])
+    qj, qx, qy = _quad_inverse_points(c[q], e[q], ya[q], yb[q], pa[q], pb[q])
 
     # Piece k, from the top level down, contributes (pb, yb) and then
     # (pa, ya) when linear or its refinement points when quadratic.
@@ -426,32 +479,34 @@ def info(f):
     return info_from_level(level_measure(f))
 
 
-def _piece_integrals(c, w, h):
+def _piece_integrals(c, w, h, s):
     """Integral of (1 - y) * (-P'(y)) / P(y) over each piece, in closed form.
 
-    In the offset t over [-w, 0], P = d2 (t - r1) (t - r2) and the
-    integrand is the sum over the roots r of 1 - (h - r) / (t - r), with
-    h = 1 - b_{k+1}.  A real root adds w + (h - r) * log1p(w / r); a root
-    at t = 0 occurs only at the top level 1, where h = 0 and the factor
-    1 - y cancels it, and adds w.  A conjugate pair a +- ib adds
-    2w + (h - a) ln(P(-w) / P(0)) - 2b * theta, theta being the angle the
-    piece subtends at a + ib; it tends to the double-root value as b -> 0.
+    Rows c are as stored (see ``LevelMeasure``): the scale of P leaves the
+    integrand as it is, and a root in u is 2^-s times the root r in t.  In
+    t over [-w, 0], P = d2 (t - r1) (t - r2) and the integrand is the sum
+    over the roots of 1 - (h - r) / (t - r), with h = 1 - b_{k+1}.  A real
+    root adds w + (h - r) * log1p(w / r); a root at t = 0 occurs only at the
+    top level 1, where h = 0 and the factor 1 - y cancels it, and adds w.  A
+    conjugate pair a +- ib adds 2w + (h - a) ln(P(-w) / P(0)) - 2b * theta,
+    theta the angle the piece subtends at a + ib, which tends to the
+    double-root value as b -> 0.
     """
     d0, d1, d2 = c.T
     out = np.zeros(len(c))
 
     def root_terms(num, den, k):
-        # w + (h - r) ln(1 + w/r), r = num / den.  Off r's normal range, ln(w/r) comes from
-        # frexp of w, den and num, and an overflowed r takes the limit r ln(1 + w/r) -> w
-        wk, hk = w[k], h[k]
+        # w + (h - r) ln(1 + w/r), r = 2^s num / den.  Off r's normal range, ln(w/r) comes from frexp
+        # of w, den and num, and an overflowed r takes the limit r ln(1 + w/r) -> w
+        wk, hk, sk = w[k], h[k], s[k]
         with np.errstate(over="ignore"):
-            r = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+            r = np.ldexp(np.divide(num, den, out=np.zeros_like(num), where=den != 0.0), sk)
         a = np.abs(r)
         odd = ((a < _TINY) & (num != 0.0)) | (a > _HUGE)
         if not odd.any():
             return wk + (hk - r) * np.log1p(np.divide(wk, r, out=np.zeros_like(r), where=r != 0.0))
         (mw, ew), (md, ed), (mn, en) = (np.frexp(v[odd]) for v in (wk, den, num))
-        lw = np.logaddexp(0.0, np.log(mw * md / mn) + (ew + ed - en) * math.log(2.0))
+        lw = np.logaddexp(0.0, np.log(mw * md / mn) + (ew + ed - en - sk[odd]) * math.log(2.0))
         terms = np.empty_like(r)
         terms[~odd] = root_terms(num[~odd], den[~odd], k[~odd])
         r_odd = np.clip(r[odd], -_HUGE, _HUGE)  # so that r ln(1 + w/r) is never inf * 0
@@ -464,22 +519,21 @@ def _piece_integrals(c, w, h):
     quad = np.flatnonzero(d2 != 0.0)
     if not quad.size:  # level_measure builds linear pieces only
         return out
-    # the discriminant times s^2, so that no d1 * d1 overflows; its root is divided by s
-    s = _square_scale(d1[quad])
-    disc = (d1[quad] * s) * (d1[quad] * s) - 4.0 * (d0[quad] * s) * (d2[quad] * s)
+    disc = d1[quad] * d1[quad] - 4.0 * d0[quad] * d2[quad]
     real = disc >= 0.0
     # two real roots q / d2 and d0 / q, with q = (sqrt(disc) - d1) / 2 >= 0
     # free of cancellation; q = 0 only for a double root at t = 0
     k = quad[real]
-    q = 0.5 * (np.sqrt(disc[real]) / s[real] - d1[k])
+    q = 0.5 * (np.sqrt(disc[real]) - d1[k])
     out[k] = root_terms(q, d2[k], k) + root_terms(d0[k], q, k)
 
     k, disc = quad[~real], disc[~real]
-    wk, a = w[k], -d1[k] / (2.0 * d2[k])
-    beta = np.sqrt(-disc) / s[~real] / (2.0 * d2[k])
-    theta = np.arctan2(beta * wk, a * (a + wk) + beta * beta)
-    rise = np.log1p(wk * (wk * d2[k] - d1[k]) / d0[k])  # ln(P(-w) / P(0))
-    out[k] = 2.0 * wk + (h[k] - a) * rise - 2.0 * beta * theta
+    sk = s[k]
+    uk, a = np.ldexp(w[k], -sk), -d1[k] / (2.0 * d2[k])
+    beta = np.sqrt(-disc) / (2.0 * d2[k])
+    theta = np.arctan2(beta * uk, a * (a + uk) + beta * beta)
+    rise = np.log1p(uk * (uk * d2[k] - d1[k]) / d0[k])  # ln(P(-w) / P(0))
+    out[k] = 2.0 * w[k] + (h[k] - np.ldexp(a, sk)) * rise - 2.0 * np.ldexp(beta, sk) * theta
     return out
 
 
@@ -492,21 +546,23 @@ def info_from_level(level):
 
     plus a term (1 - y) * ln(P(y-) / P(y+)) for each downward jump of P.
     Every piece integrates in closed form over the roots of its anchored
-    polynomial (see ``LevelMeasure``), real or complex, in one array pass.
-    ``info`` is this integral on ``level_measure(f)``.
+    polynomial (see ``LevelMeasure``), real or complex, in one array pass;
+    the jumps read the exponents.  ``info`` is this on ``level_measure(f)``.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"information requires total measure 1, got {level.total!r}")
-    b, c = level._b, level._c
+    b, c, e = level._b, level._c, level._e
     ya, yb = b[:-1], b[1:]
-    top = c[:, 0]
-    bottom = _eval(c, ya - yb)  # limit of P as y -> ya from above
-    checks = np.array(
-        [bottom < -1e-9, bottom <= 0.0, top < -1e-9, (top <= 0.0) & (yb < 1.0), top < 0.0]
-    )
-    failed = checks.any(axis=0)
-    if failed.any():
-        k = int(np.argmax(failed))
+    top, w = c[:, 0], yb - ya
+    wu = np.ldexp(w, -level._s)
+    bottom = c[:, 0] - wu * (c[:, 1] - wu * c[:, 2])  # limit of P as y -> ya from above, over 2^e
+    prev = np.concatenate(([level.total], top[:-1]))  # P just below each piece, over 2^(e - up)
+    tol, below, up = -1e-9, prev, e - np.concatenate(([0], e[:-1])) if e.any() else None
+    if up is not None:  # the tolerance and P just below, in the units of each piece
+        tol, below = _fold(-1e-9, -e), _fold(prev, -up)
+    if not (bottom.min() > 0.0 and top[:-1].min(initial=1.0) > 0.0 and top[-1] >= 0.0):
+        checks = np.array([bottom < tol, bottom <= 0.0, top < tol, (top <= 0.0) & (yb < 1.0), top < 0.0])
+        k = int(np.argmax(checks.any(axis=0)))
         check = int(np.argmax(checks[:, k]))
         if check in (0, 2):
             raise ValueError("level measure goes negative")
@@ -514,18 +570,19 @@ def info_from_level(level):
             raise DivergenceError("information integral diverges on the final piece")
         at = float((ya if check == 1 else yb)[k])
         raise DivergenceError(f"information integral diverges: P vanishes at level {at!r} < 1")
-    prev = np.concatenate(([level.total], top[:-1]))  # P just below each piece
-    jump = prev > bottom
+    jump = below > bottom
     jumps = (1.0 - ya[jump]) * (np.log(prev[jump]) - np.log(bottom[jump]))
-    return math.fsum(np.concatenate((jumps, _piece_integrals(c, yb - ya, 1.0 - yb))).tolist())
+    if up is not None:
+        jumps -= (1.0 - ya[jump]) * up[jump] * math.log(2.0)
+    return math.fsum(np.concatenate((jumps, _piece_integrals(c, w, 1.0 - yb, level._s))).tolist())
 
 
-def _recentred(p, upper):
-    """The pieces of p covering each (., upper], anchored at upper instead."""
+def _recentred(p, upper, s):
+    """The pieces of p covering each (., upper], anchored at upper in units 2^s instead, and their exponents."""
     k = np.searchsorted(p._b, upper) - 1
     c = p._c[k]
-    t = upper - p._b[k + 1]
-    return _eval(c, t), c[:, 1] + 2.0 * t * c[:, 2], c[:, 2]
+    u, d = np.ldexp(upper - p._b[k + 1], -p._s[k]), s - p._s[k]
+    return _eval(c, u), np.ldexp(c[:, 1] + 2.0 * u * c[:, 2], d), np.ldexp(c[:, 2], 2 * d), p._e[k]
 
 
 def product_level(p1, p2):
@@ -534,19 +591,20 @@ def product_level(p1, p2):
     The super-level set of min(f1(x), f2(y)) on the unit square is the
     Cartesian product of the factors' super-level sets, so the level
     measures multiply.  Pieces multiply on the common refinement, each
-    factor re-anchored at the common top first; the result must stay
-    within degree 2 and, as every level measure, finite.
+    factor re-anchored at the common top in its unit first; the exponents
+    add, and the product stays within degree 2 and ``LevelMeasure``'s rule.
     """
     bounds = np.union1d(p1._b, p2._b)
-    with np.errstate(over="ignore"):  # an overflow is reported by LevelMeasure
-        a0, a1, a2 = _recentred(p1, bounds[1:])
-        b0, b1, b2 = _recentred(p2, bounds[1:])
-        if np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0):
+    s = np.frexp(bounds[1:] - bounds[:-1])[1]
+    with np.errstate(over="ignore"):  # only user-built rows can overflow; LevelMeasure reports it
+        a0, a1, a2, ea = _recentred(p1, bounds[1:], s)
+        b0, b1, b2, eb = _recentred(p2, bounds[1:], s)
+        if (a2.any() or b2.any()) and (np.any(a1 * b2 + a2 * b1 != 0.0) or np.any(a2 * b2 != 0.0)):
             raise ValueError(
                 "degree overflow: the product of these level measures exceeds degree 2"
             )
         coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
-        return LevelMeasure(bounds, coeffs, p1.total * p2.total)
+    return LevelMeasure._scaled(bounds, *_normalized(coeffs, ea + eb), p1.total * p2.total, s)
 
 
 def _pointwise(op, f1, f2):

@@ -121,29 +121,28 @@ def level_measure_by_active_set(f):
     A scalar reference for the array passes of ``possinfo.level_measure``:
     the segments spanning each piece are kept in an active set that gains
     a segment at its low value and loses it at its high value, and each
-    piece's slope and top value are summed over that set in Python.
+    piece's slope and top value are summed over that set in Python.  A
+    piece whose float rates or sums leave the normal float range is summed
+    again in exact ``Fraction`` arithmetic.  The rows are stored as
+    ``LevelMeasure`` stores them, in the unit 2^s of each piece's offset;
+    an exactly summed row is rounded at the power of two halfway between
+    the binary exponents of its largest and smallest nonzero coefficients.
     """
     xs, vs = f.xs, f.vs
-    x0, x1 = xs[:-1], xs[1:]
-    v0, v1 = vs[:-1], vs[1:]
-    w = x1 - x0
-    lo = np.minimum(v0, v1)
-    hi = np.maximum(v0, v1)
+    w = xs[1:] - xs[:-1]
+    lo = np.minimum(vs[:-1], vs[1:])
+    hi = np.maximum(vs[:-1], vs[1:])
 
     b = np.unique(np.concatenate((np.array([0.0, 1.0]), vs)))
     K = len(b) - 1
-
-    # as in the library, a segment whose rate exceeds the largest float
-    # over the segment count (a constant one, or one too steep) counts as
-    # constant at its low value, so that no sum of rates overflows
-    with np.errstate(divide="ignore", over="ignore"):
-        rate = w / (hi - lo)
-    const = ~(rate <= np.finfo(float).max / len(w))
+    const = lo == hi
     nz = np.nonzero(~const)[0]
+    cidx = np.nonzero(const)[0]
+    with np.errstate(over="ignore"):
+        rate = w / np.where(const, 1.0, hi - lo)
 
     lo_sorted = np.sort(lo[nz])
     w_suffix = np.concatenate((np.cumsum(w[nz][np.argsort(lo[nz], kind="stable")][::-1])[::-1], [0.0]))
-    cidx = np.nonzero(const)[0]
     cv_sorted = np.sort(lo[cidx])
     cw_suffix = np.concatenate((np.cumsum(w[cidx][np.argsort(lo[cidx], kind="stable")][::-1])[::-1], [0.0]))
 
@@ -152,25 +151,52 @@ def level_measure_by_active_set(f):
         j = np.searchsorted(cv_sorted, y, side="left")
         return float(w_suffix[i]) + float(cw_suffix[j])
 
+    def normal(values):
+        return all(v == 0.0 or np.finfo(float).tiny <= abs(v) <= np.finfo(float).max for v in values)
+
+    def exact_row(active, y_top, unit):
+        rates = [Fraction(float(w[i])) / (Fraction(float(hi[i])) - Fraction(float(lo[i]))) for i in active]
+        mass = sum(Fraction(float(w[i])) for i in range(len(w)) if lo[i] >= y_top)
+        top = mass + sum(r * (Fraction(float(hi[i])) - Fraction(y_top)) for r, i in zip(rates, active))
+        row = (top, -sum(rates) * Fraction(2) ** unit)
+        bits = [q.numerator.bit_length() - q.denominator.bit_length() for q in map(abs, row) if q]
+        e = (max(bits) + min(bits)) // 2 if bits else 0
+        return tuple(float(q / Fraction(2) ** e) for q in row) + (0.0,), e
+
     starts = {}
     ends = {}
     for i in nz:
         starts.setdefault(float(lo[i]), []).append(int(i))
         ends.setdefault(float(hi[i]), []).append(int(i))
 
-    coeffs = []
+    coeffs, exps, units = [], [], []
     active = set()
     for k in range(K):
         active.update(starts.get(float(b[k]), ()))
         y_top = float(b[k + 1])
+        unit = math.frexp(y_top - float(b[k]))[1]  # the piece's offset unit 2^unit
+        units.append(unit)
         m = -sum(float(rate[i]) for i in active)
         top = mass_at_or_above(y_top) + sum(
             float(rate[i]) * (float(hi[i]) - y_top) for i in active
         )
-        coeffs.append((top, m, 0.0))
+        slope = math.ldexp(m, unit)
+        if normal([float(rate[i]) for i in active] + [m, top, slope]) and (slope != 0.0 or m == 0.0):
+            coeffs.append((top, slope, 0.0))
+            exps.append(0)
+        else:
+            row, e = exact_row(sorted(active), y_top, unit)
+            coeffs.append(row)
+            exps.append(e)
         active.difference_update(ends.get(y_top, ()))
     total = mass_at_or_above(0.0)
-    return LevelMeasure(b.tolist(), coeffs, total)
+    return LevelMeasure._scaled(b, np.array(coeffs), np.array(exps), total, np.array(units))
+
+
+def exact_row(level, k):
+    """Row k of a level measure in the offset t, as exact rationals: its exponent and unit folded in."""
+    e, s = int(level._e[k]), int(level._s[k])
+    return tuple(Fraction(v) * Fraction(2) ** (e - i * s) for i, v in enumerate(level._c[k].tolist()))
 
 
 def invert_by_bisection(c, ya, yb, x):
@@ -191,23 +217,20 @@ def invert_by_bisection(c, ya, yb, x):
     return 0.5 * (lo + hi)
 
 
-def _invert_quad_piece(coeffs, ya, yb, x):
+def _invert_quad_piece(coeffs, exponent, ya, yb, x):
     """Solve P(y) = x on [ya, yb] by the closed-form root, in scalar code.
 
-    As in the library, where d1 * d1 would overflow, e, d1 and d2 are first
-    scaled by the power of two that takes |d1| below 2^511, which leaves t
-    unchanged.
+    The piece is stored as ``LevelMeasure`` stores it: 2^exponent times the
+    row ``coeffs`` in the offset u = (y - yb) / 2^s, 2^s the power of two
+    with yb - ya in [2^(s-1), 2^s).  The root is taken in those units.
     """
     d0, d1, d2 = coeffs
-    e = x - d0
-    if abs(d1) >= 2.0**512:
-        s = math.ldexp(1.0, 511 - math.frexp(d1)[1])
-        e, d1, d2 = e * s, d1 * s, d2 * s
-    t = -2.0 * e / (-d1 + math.sqrt(max(d1 * d1 + 4.0 * d2 * e, 0.0)))
-    return min(max(yb + t, ya), yb)
+    e = math.ldexp(x, -exponent) - d0
+    u = -2.0 * e / (-d1 + math.sqrt(max(d1 * d1 + 4.0 * d2 * e, 0.0)))
+    return min(max(yb + math.ldexp(u, math.frexp(yb - ya)[1]), ya), yb)
 
 
-def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
+def _quad_inverse_points(coeffs, exponent, ya, yb, pa, pb, tol):
     """Sampled inverse graph of a quadratic piece, from (pb, yb) to (pa, ya)."""
     out = [(pb, yb)]
 
@@ -216,7 +239,7 @@ def _quad_inverse_points(coeffs, ya, yb, pa, pb, tol):
             out.append((x1, y1))
             return
         xm = 0.5 * (x0 + x1)
-        ym = _invert_quad_piece(coeffs, ya, yb, xm)
+        ym = _invert_quad_piece(coeffs, exponent, ya, yb, xm)
         if abs(ym - 0.5 * (y0 + y1)) <= 0.5 * tol:
             out.append((x1, y1))
             return
@@ -239,7 +262,7 @@ def rearrange_by_refinement(level, tol=1e-9):
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
     b = level.bounds
-    coeffs = level.coeffs  # the property builds the tuple of all rows on each access
+    coeffs, exps = level._c.tolist(), level._e.tolist()  # the stored rows and their exponents
     K = len(coeffs)
     raw = []
     top_val = level.piece_value(K - 1, b[K])
@@ -250,7 +273,7 @@ def rearrange_by_refinement(level, tol=1e-9):
         pa = level.piece_value(k, ya)
         pb = level.piece_value(k, yb)
         if pa > pb and coeffs[k][2] != 0.0:
-            raw.extend(_quad_inverse_points(coeffs[k], ya, yb, pa, pb, tol))
+            raw.extend(_quad_inverse_points(coeffs[k], exps[k], ya, yb, pa, pb, tol))
         else:
             raw.append((pb, yb))
             raw.append((pa, ya))

@@ -362,6 +362,13 @@ class TestCli:
         assert run_command(["info", path]) == 0
         assert capsys.readouterr().out == "1.510826\n"  # 1 + ln(1 / 0.6)
 
+    def test_info_of_a_spike_narrower_than_the_subnormal_range(self, docs, capsys):
+        points = [[0, 0.6774208733279948], [1.082e-320, 1], [1.0819523446068e-310, 0.5086568400312831],
+                  [1, 0.9999999999999999]]
+        path = docs("spike.json", {"kind": "piecewise_linear", "points": points})
+        assert run_command(["info", path]) == 0
+        assert capsys.readouterr() == ("0.491343\n", "")  # 0.49134315996880015 at 60 digits
+
     def test_info_of_a_subnormal_width_top_plateau(self, docs, capsys):
         path = docs("plateau.json", {"kind": "piecewise_linear", "points": [[0, 1], [1e-310, 1], [1, 0]]})
         assert run_command(["info", path]) == 0
