@@ -163,10 +163,15 @@ def _eval(c, u):
 
 def _fold(v, e):
     """v * 2^e, elementwise; 0 or +-inf past the float range."""
-    if not np.any(e):
+    if not e.any():
         return v
     with np.errstate(over="ignore"):
         return np.ldexp(v, e)
+
+
+def _units(b):
+    """Each piece's offset unit 2^s, its height b_{k+1} - b_k in [2^(s-1), 2^s) (see ``LevelMeasure``)."""
+    return np.frexp(b[1:] - b[:-1])[1]
 
 
 def _normalized(c, e):
@@ -188,27 +193,24 @@ class LevelMeasure:
     piece boundaries encode plateaus of the underlying function.  ``total``
     is P(0), the measure of the whole domain.
 
-    A piece is anchored at its top level, in the offset unit 2^s with its
-    height in [2^(s-1), 2^s), and carries an integer exponent e: its row
-    (d0, d1, d2) means P = 2^e (d0 + u (d1 + u d2)), u = (y - b_{k+1}) / 2^s.
-    For the pieces built here no coefficient exceeds twice P on the piece,
-    however steep, and d1 <= 0 <= d2, so evaluation never cancels.  As
-    the information integral, each jump's ln P(y-) - ln P(y+) and a piece's
-    inverse do not change when the piece is multiplied by a power of two,
-    one rule sets e: 0 while every nonzero coefficient lies in
-    [2^-511, 2^510), where the square or product of two is a normal float
-    below 2^1020, so that discriminants and product rows need no scaling;
-    else the power of two that brings the largest |coefficient| into
-    [2^508, 2^509), keeping the most bits of the others.  Rows are given in
-    t = y - b_{k+1}, as (d0, d1) or (d0, d1, d2) or a K-by-3 array of finite
-    floats.  ``bounds`` and ``coeffs`` are tuples built on each access;
-    ``coeffs`` folds unit and exponent back in, which reads 0 or +-inf for a
-    piece past the float range, while the level measure keeps it.
+    A piece is anchored at its top level in the unit 2^s of its height,
+    in [2^(s-1), 2^s), with an integer exponent e: its row (d0, d1, d2)
+    means P = 2^e (d0 + u (d1 + u d2)), u = (y - b_{k+1}) / 2^s <= 0.  For
+    the pieces built here no coefficient exceeds twice P on the piece and
+    d1 <= 0 <= d2, so evaluation never cancels.  The information integral,
+    the jumps' log-ratios and a piece's inverse do not change under a power
+    of two, so one rule sets e: 0 while every nonzero coefficient lies in
+    [2^-511, 2^510), where squares and products of two are normal floats,
+    else the power of two that brings the largest into [2^508, 2^509).
+    Rows are given in t = y - b_{k+1}, as (d0, d1), (d0, d1, d2) or a K-by-3
+    array of finite floats; ``bounds`` and ``coeffs`` are tuples built on
+    each access, and ``coeffs`` folds unit and exponent back in: 0 or +-inf
+    for a piece past the float range.
     """
 
     __slots__ = ("_b", "_c", "_e", "_s", "total")
 
-    def __init__(self, bounds, coeffs, total):
+    def __new__(cls, bounds, coeffs, total):
         b = _float_array(bounds)
         if not (isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 3):
             coeffs = [(c[0], c[1], c[2] if len(c) > 2 else 0.0) for c in coeffs]
@@ -219,23 +221,18 @@ class LevelMeasure:
             raise ValueError("pieces must cover exactly [0, 1]")
         if not (b[1:] > b[:-1]).all():
             raise ValueError("bounds must be strictly increasing")
-        s = np.frexp(b[1:] - b[:-1])[1]  # the rule before and after the change of unit: nothing underflows
-        c, e = _normalized(c, np.zeros(len(c), dtype=int))
-        self._set(b, *_normalized(np.ldexp(c, np.outer(s, (0, 1, 2))), e), total, s)
+        c, e = _normalized(c, np.zeros(len(c), dtype=np.int32))  # before the change of unit, as after it
+        return cls._scaled(b, *_normalized(np.ldexp(c, np.outer(_units(b), (0, 1, 2))), e), total)
 
     @classmethod
-    def _scaled(cls, b, c, e, total, s):
-        """The builders' path: rows c in the units 2^s of each piece, each under the range rule."""
-        level = object.__new__(cls)
-        level._set(b, c, e, total, s)
-        return level
-
-    def _set(self, b, c, e, total, s):
-        total = float(total)
+    def _scaled(cls, b, c, e, total):
+        """The builders' path: rows c in the units of each piece, each under the range rule."""
+        level, total = object.__new__(cls), float(total)
         if not (math.isfinite(c.sum()) and math.isfinite(total)):
             raise ValueError("level measure coefficients and total must be finite")
-        for name, value in zip(self.__slots__, (*map(_frozen, (b, c, e, s)), total)):
-            object.__setattr__(self, name, value)
+        for name, value in zip(cls.__slots__, (*map(_frozen, (b, c, e, _units(b))), total)):
+            object.__setattr__(level, name, value)
+        return level
 
     @property
     def bounds(self):
@@ -249,7 +246,7 @@ class LevelMeasure:
         raise AttributeError("LevelMeasure is immutable")
 
     def __reduce__(self):
-        return LevelMeasure._scaled, (self._b, self._c, self._e, self.total, self._s)
+        return LevelMeasure._scaled, (self._b, self._c, self._e, self.total)
 
     def __eq__(self, other):
         if not isinstance(other, LevelMeasure):
@@ -288,14 +285,14 @@ def level_measure(f):
     to its hi's, and the lo indices counted below each bound start the
     suffix sum of full widths, sorted by lo, there.  Each piece's value
     and slope is summed freshly over the segments spanning it, in one
-    array pass over the (piece, segment) incidences: no cancellation.
-    A row the pass cannot hold is summed again on widths over 2^e (see
-    ``LevelMeasure``), where no rate overflows and no width loses bits.
+    array pass over the (piece, segment) incidences: no cancellation.  A
+    row this pass cannot hold is summed again from mantissas and exponents
+    over 2^e (see ``LevelMeasure``): no rate overflows, no width loses bits.
     """
     vs, w = f.vs, f.xs[1:] - f.xs[:-1]
     hi, lo = np.maximum(vs[:-1], vs[1:]), np.minimum(vs[:-1], vs[1:])
     b, at = np.unique(np.concatenate(([0.0, 1.0], vs)), return_inverse=True)
-    K, s = len(b) - 1, np.frexp(b[1:] - b[:-1])[1]  # each piece's unit 2^s
+    K, s = len(b) - 1, _units(b)
     first, count = np.minimum(at[2:-1], at[3:]), np.abs(at[3:] - at[2:-1])
 
     def mass_at_or_above(k):
@@ -310,38 +307,32 @@ def level_measure(f):
         total_c, top_c = mass_at_or_above(flat)
         total, top = total + total_c, top + top_c
 
+    def rows(rate, spanned, top):
+        d1 = 0.0 - np.bincount(piece, weights=rate, minlength=K)
+        return np.column_stack((top + np.bincount(piece, weights=spanned, minlength=K), d1, np.zeros(K)))
+
     # one row per incidence: a segment's rate and hi repeat over its pieces
-    piece = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-    above = np.repeat(hi, count) - b[1:][piece]
-
-    def rows(r, spanned, top):
-        m = 0.0 - np.bincount(piece, weights=r, minlength=K)
-        return top + np.bincount(piece, weights=spanned, minlength=K), m
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = np.repeat(w / (hi - lo), count)
-        d0, m = rows(r, r * above, top)
-        d1 = np.ldexp(m, s)
-    c = np.column_stack((d0, d1, np.zeros(K)))
-    # in units no finite coefficient exceeds 2, so rows are redone where one lies below the band,
-    # where a rate overflowed, or where P, positive under the largest value, lost its top value
-    # or (on the piece ending there) its slope to underflow; P falls with y, so the top values
-    # under the largest value are least on the piece ending just below it
-    e, below, low = np.zeros(K, dtype=int), at[2:].max() - 1, 2.0**-511
-    if (np.frexp(d1)[1].min() < -510 or m.min() == -np.inf or (below > 0 and d0[below - 1] < low)
-            or 0.0 < d0[below] < low or not (d0[below] or d1[below])):
-        x = np.frexp(c)[1]
-        lost = (d0 == 0.0) & (np.arange(K) < below + (d1 == 0.0))
-        redo = (x.min(axis=1) < -510) | (m == -np.inf) | lost
-        # e from the largest coefficient or, where a rate overflowed, from 2, above every one
-        big = np.where(np.isfinite(c[:, 1]), np.frexp(np.maximum(c[:, 0], -c[:, 1]))[1], 2)
-        e = np.where(redo, big - 509, 0)
-        span = np.repeat(hi - lo, count)
-        (mw, xw), (ms, xs) = np.frexp(np.repeat(w, count)), np.frexp(span)
-        r, spanned = np.ldexp(mw / ms, xw - xs + (s - e)[piece]), mw * np.ldexp(above / span, xw - e[piece])
-        again, e = _normalized(np.column_stack((*rows(r, spanned, np.ldexp(top, -e)), np.zeros(K))), e)
-        c[redo], e = again[redo], np.where(redo, e, 0)
-    return LevelMeasure._scaled(b, c, e, float(total), s)
+        piece = np.arange(len(r)) + np.repeat(first - (np.cumsum(count) - count), count)
+        above = np.repeat(hi, count) - b[1:][piece]
+        c = rows(r, r * above, top)
+    c[:, 1] = np.ldexp(c[:, 1], s)
+    e = np.zeros(K, dtype=np.int32)
+    # P is positive under its largest value and falls from its least (f is continuous).  With widths
+    # and heights of 2^-255 or more, rates stay below 2^255 and top values and slopes there above
+    # 2^-510.  Else rows are redone where these lie below the band, were lost to underflow or, for a
+    # rate past the float range, read -inf or NaN; e first takes the largest (or 1) to 2^509
+    if w.min() < 2.0**-255 or s.min() < -254:
+        (d0, d1), k, below, low = c[:, :2].T, np.arange(K), at[2:].max() - 1, 2.0**-511
+        falls = (k >= at[2:].min()) & (k <= below)
+        redo = ~(d0 >= low) & ((k < below) | (d0 > 0.0)) | ~(-d1 >= low) & falls | (d1 == -np.inf)
+        e[redo] = np.frexp(np.maximum(d0, -d1))[1][redo] - 509
+        (mw, xw), (ms, xs) = np.frexp(np.repeat(w, count)), np.frexp(np.repeat(hi - lo, count))
+        r, x = mw / ms, xw - xs - e[piece]  # w / span = r 2^(x + e)
+        again = rows(np.ldexp(r, x + s[piece]), np.ldexp(r * above, x), np.ldexp(top, -e))
+        c[redo], e[redo] = (a[redo] for a in _normalized(again, e))
+    return LevelMeasure._scaled(b, c, e, float(total))
 
 
 def _invert(d0, d1, d2, s, ya, yb, x):
@@ -357,21 +348,21 @@ def _invert(d0, d1, d2, s, ya, yb, x):
     return np.clip(yb + np.ldexp(u, s), ya, yb)
 
 
-def _quad_inverse_points(c, e, ya, yb, pa, pb):
+def _quad_inverse_points(c, e, s, ya, yb, pa, pb):
     """Sampled inverse graphs of quadratic pieces, refined breadth-first.
 
-    The graph of piece j (row c[j], exponent e[j]) runs from (pb[j], yb[j])
-    to (pa[j], ya[j]).  An interval is halved until the chord midpoint is
-    within tol/2 of the true inverse, tol = ``_REARRANGE_TOL`` bounding the
-    interpolant's sup-norm error for the convex/concave inverse of a
-    monotone quadratic.
+    The graph of piece j (row c[j], exponent e[j], unit 2^s[j]) runs from
+    (pb[j], yb[j]) to (pa[j], ya[j]).  An interval is halved until the chord
+    midpoint is within tol/2 of the true inverse, tol = ``_REARRANGE_TOL``
+    bounding the interpolant's sup-norm error for the convex/concave
+    inverse of a monotone quadratic.
     Each depth inverts all its intervals at once, on coefficient columns
     gathered once, after ending those under the width floor; a halved
     interval's halves are written side by side, keeping piece and x order.
     Returns the piece, x and y of each final interval's right end, so sorted.
     """
     d0, d1, d2 = (np.ascontiguousarray(col) for col in c.T)
-    found, j, scaled, s = [], np.arange(len(c)), e.any(), np.frexp(yb - ya)[1]
+    found, j, scaled = [], np.arange(len(c)), e.any()  # once per call: a test at each depth costs time
     x0, y0, x1, y1 = pb, yb, pa, ya
     for _ in range(64):
         # the 8e-15 width floor ends intervals too narrow in x to hold a useful
@@ -422,7 +413,7 @@ def rearrange(level):
     quad = (pa > pb) & (c[:, 2] != 0.0)
     lin = np.flatnonzero(~quad)
     q = np.flatnonzero(quad)
-    qj, qx, qy = _quad_inverse_points(c[q], e[q], ya[q], yb[q], pa[q], pb[q])
+    qj, qx, qy = _quad_inverse_points(c[q], e[q], level._s[q], ya[q], yb[q], pa[q], pb[q])
 
     # Piece k, from the top level down, contributes (pb, yb) and then
     # (pa, ya) when linear or its refinement points when quadratic.
@@ -483,14 +474,13 @@ def _piece_integrals(c, w, h, s):
     """Integral of (1 - y) * (-P'(y)) / P(y) over each piece, in closed form.
 
     Rows c are as stored (see ``LevelMeasure``): the scale of P leaves the
-    integrand as it is, and a root in u is 2^-s times the root r in t.  In
-    t over [-w, 0], P = d2 (t - r1) (t - r2) and the integrand is the sum
-    over the roots of 1 - (h - r) / (t - r), with h = 1 - b_{k+1}.  A real
-    root adds w + (h - r) * log1p(w / r); a root at t = 0 occurs only at the
-    top level 1, where h = 0 and the factor 1 - y cancels it, and adds w.  A
+    integrand as it is, and a root in u is 2^-s times its root r in t.  In
+    t over [-w, 0] the integrand sums 1 - (h - r) / (t - r) over the roots,
+    h = 1 - b_{k+1}.  A real root adds w + (h - r) * log1p(w / r); a root at
+    t = 0 occurs only at the top level 1, where h = 0, and adds w.  A
     conjugate pair a +- ib adds 2w + (h - a) ln(P(-w) / P(0)) - 2b * theta,
-    theta the angle the piece subtends at a + ib, which tends to the
-    double-root value as b -> 0.
+    theta the angle the piece subtends at a + ib (the double-root value as
+    b -> 0).
     """
     d0, d1, d2 = c.T
     out = np.zeros(len(c))
@@ -554,13 +544,10 @@ def info_from_level(level):
     b, c, e = level._b, level._c, level._e
     ya, yb = b[:-1], b[1:]
     top, w = c[:, 0], yb - ya
-    wu = np.ldexp(w, -level._s)
-    bottom = c[:, 0] - wu * (c[:, 1] - wu * c[:, 2])  # limit of P as y -> ya from above, over 2^e
-    prev = np.concatenate(([level.total], top[:-1]))  # P just below each piece, over 2^(e - up)
-    tol, below, up = -1e-9, prev, e - np.concatenate(([0], e[:-1])) if e.any() else None
-    if up is not None:  # the tolerance and P just below, in the units of each piece
-        tol, below = _fold(-1e-9, -e), _fold(prev, -up)
+    bottom = _eval(c, np.ldexp(ya - yb, -level._s))  # limit of P as y -> ya from above, over 2^e
+    prev, up = np.concatenate(([level.total], top[:-1])), e - np.concatenate(([0], e[:-1]))
     if not (bottom.min() > 0.0 and top[:-1].min(initial=1.0) > 0.0 and top[-1] >= 0.0):
+        tol = _fold(-1e-9, -e)  # over 2^e, as the rows
         checks = np.array([bottom < tol, bottom <= 0.0, top < tol, (top <= 0.0) & (yb < 1.0), top < 0.0])
         k = int(np.argmax(checks.any(axis=0)))
         check = int(np.argmax(checks[:, k]))
@@ -570,18 +557,16 @@ def info_from_level(level):
             raise DivergenceError("information integral diverges on the final piece")
         at = float((ya if check == 1 else yb)[k])
         raise DivergenceError(f"information integral diverges: P vanishes at level {at!r} < 1")
-    jump = below > bottom
-    jumps = (1.0 - ya[jump]) * (np.log(prev[jump]) - np.log(bottom[jump]))
-    if up is not None:
-        jumps -= (1.0 - ya[jump]) * up[jump] * math.log(2.0)
+    jump = _fold(prev, -up) > bottom  # P just below each piece, over 2^e
+    jumps = (1.0 - ya[jump]) * (np.log(prev[jump]) - np.log(bottom[jump]) - up[jump] * math.log(2.0))
     return math.fsum(np.concatenate((jumps, _piece_integrals(c, w, 1.0 - yb, level._s))).tolist())
 
 
 def _recentred(p, upper, s):
-    """The pieces of p covering each (., upper], anchored at upper in units 2^s instead, and their exponents."""
+    """The pieces of p covering each (., upper], re-anchored at upper in units 2^s, and their exponents."""
     k = np.searchsorted(p._b, upper) - 1
-    c = p._c[k]
-    u, d = np.ldexp(upper - p._b[k + 1], -p._s[k]), s - p._s[k]
+    c, d = p._c[k], s - p._s[k]
+    u = np.ldexp(upper - p._b[k + 1], d - s)  # in the unit 2^(s - d) of p's piece
     return _eval(c, u), np.ldexp(c[:, 1] + 2.0 * u * c[:, 2], d), np.ldexp(c[:, 2], 2 * d), p._e[k]
 
 
@@ -595,7 +580,7 @@ def product_level(p1, p2):
     add, and the product stays within degree 2 and ``LevelMeasure``'s rule.
     """
     bounds = np.union1d(p1._b, p2._b)
-    s = np.frexp(bounds[1:] - bounds[:-1])[1]
+    s = _units(bounds)
     with np.errstate(over="ignore"):  # only user-built rows can overflow; LevelMeasure reports it
         a0, a1, a2, ea = _recentred(p1, bounds[1:], s)
         b0, b1, b2, eb = _recentred(p2, bounds[1:], s)
@@ -604,7 +589,7 @@ def product_level(p1, p2):
                 "degree overflow: the product of these level measures exceeds degree 2"
             )
         coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
-    return LevelMeasure._scaled(bounds, *_normalized(coeffs, ea + eb), p1.total * p2.total, s)
+    return LevelMeasure._scaled(bounds, *_normalized(coeffs, ea + eb), p1.total * p2.total)
 
 
 def _pointwise(op, f1, f2):

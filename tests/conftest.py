@@ -190,7 +190,7 @@ def level_measure_by_active_set(f):
             exps.append(e)
         active.difference_update(ends.get(y_top, ()))
     total = mass_at_or_above(0.0)
-    return LevelMeasure._scaled(b, np.array(coeffs), np.array(exps), total, np.array(units))
+    return LevelMeasure._scaled(b, np.array(coeffs), np.array(exps), total)
 
 
 def exact_row(level, k):
