@@ -126,7 +126,9 @@ def level_measure_by_active_set(f):
     again in exact ``Fraction`` arithmetic.  The rows are stored as
     ``LevelMeasure`` stores them, in the unit 2^s of each piece's offset;
     an exactly summed row is rounded at the power of two halfway between
-    the binary exponents of its largest and smallest nonzero coefficients.
+    the binary exponents of its largest and smallest nonzero coefficients,
+    or at 2^1000 below its largest where that is higher, so that the
+    largest never overflows.
     """
     xs, vs = f.xs, f.vs
     w = xs[1:] - xs[:-1]
@@ -160,7 +162,7 @@ def level_measure_by_active_set(f):
         top = mass + sum(r * (Fraction(float(hi[i])) - Fraction(y_top)) for r, i in zip(rates, active))
         row = (top, -sum(rates) * Fraction(2) ** unit)
         bits = [q.numerator.bit_length() - q.denominator.bit_length() for q in map(abs, row) if q]
-        e = (max(bits) + min(bits)) // 2 if bits else 0
+        e = max((max(bits) + min(bits)) // 2, max(bits) - 1000) if bits else 0
         return tuple(float(q / Fraction(2) ** e) for q in row) + (0.0,), e
 
     starts = {}

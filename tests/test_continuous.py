@@ -636,6 +636,15 @@ class TestSubnormalWidths:
         for _ in range(1000):
             assert_matches_active_set(extreme_curve(rng))
 
+    def test_row_wider_than_the_float_range_matches_the_referee(self):
+        # curve 619 of seed 10: on (1e-310, 2.2250738585072014e-308] the slope
+        # lies about 2^-1578 below the top value, past what one float scale
+        # holds; the referee, rounding such a row halfway, once overflowed
+        f = PiecewisePossibility(
+            [(0, 1e-310), (1e-320, 1), (1e-100, 0.2645620255298019), (1, 2.2250738585072014e-308)]
+        )
+        assert_matches_active_set(f)
+
     def test_widths_and_heights_of_2_to_the_minus_255_keep_rows_in_the_band(self):
         # level_measure checks no row when every width and piece height is 2^-255 or
         # more: rates then stay below 2^255, and the top values under the largest value
