@@ -639,7 +639,7 @@ class TestSubnormalWidths:
     def test_row_wider_than_the_float_range_matches_the_referee(self):
         # curve 619 of seed 10: on (1e-310, 2.2250738585072014e-308] the slope
         # lies about 2^-1578 below the top value, past what one float scale
-        # holds; the referee, rounding such a row halfway, once overflowed
+        # holds, so the referee must round the exact row near its largest
         f = PiecewisePossibility(
             [(0, 1e-310), (1e-320, 1), (1e-100, 0.2645620255298019), (1, 2.2250738585072014e-308)]
         )
