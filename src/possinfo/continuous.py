@@ -292,6 +292,7 @@ def level_measure(f):
     vs, w = f.vs, f.xs[1:] - f.xs[:-1]
     hi, lo = np.maximum(vs[:-1], vs[1:]), np.minimum(vs[:-1], vs[1:])
     b, at = np.unique(np.concatenate(([0.0, 1.0], vs)), return_inverse=True)
+    b[0] = 0.0  # np.unique keeps whichever of 0.0 and -0.0 its sort puts first
     K, s = len(b) - 1, _units(b)
     first, count = np.minimum(at[2:-1], at[3:]), np.abs(at[3:] - at[2:-1])
 
@@ -445,10 +446,7 @@ def rearrange(level):
     keep = np.ones(n, dtype=bool)
     keep[:-1] &= ~same | at_one[:-1]
     keep[1:] &= ~same | ~at_one[1:]
-    x, y = x[keep], y[keep]
-    if x[-1] != 1.0:
-        x, y = np.append(x, 1.0), np.append(y, y[-1])
-    return PiecewisePossibility(np.column_stack((x, y)))
+    return PiecewisePossibility(np.column_stack((x[keep], y[keep])))
 
 
 def info(f):

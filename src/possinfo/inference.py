@@ -13,9 +13,9 @@ checks and scores stacks of their points in one float pass each, and
 rescores the best exactly, in integers over one denominator per point.
 Each tie pattern's integer system is eliminated once: its determinant
 and den * M^-1 serve the float points, the exact points and a K line's
-direction.  Max-U takes only the patterns with at most one tie group (see
-``solve_max_u``), generated as such.  ``brute_force_oracle``, a grid
-scan, checks both in the tests.
+direction.  ``_patterns`` yields the patterns, never with more tie groups
+than rows to solve them, and for max-U with at most one (``solve_max_u``).
+``brute_force_oracle``, a grid scan, checks both in the tests.
 When nothing is admissible, the same search, scoring summed violation over
 the box, names the nearest point (see ``_ViolationSearch``).
 
@@ -154,46 +154,28 @@ def _solve_integer(matrix, rhs):
     return [[sign * x for x in row[k:]] for row in m], sign * det
 
 
-def _partitions(items):
-    """Every split of ``items`` into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
-def _splits(free, ties):
-    """The splits of ``free`` into tie groups with at most ``ties`` groups of two or more.
-
-    ``ties`` is 0 (singletons), 1 (one group and singletons) or None (every
-    split, from ``_partitions``).
-    """
-    if ties is None:
-        yield from _partitions(free)
-        return
-    yield [[j] for j in free]
-    for size in range(2, len(free) + 1) if ties else ():
-        for group in itertools.combinations(free, size):
-            yield [list(group) if j == group[0] else [j] for j in free
-                   if j == group[0] or j not in group]
-
-
 def _patterns(n, m, line, normalized, ties=None):
     """(tie groups, chosen rows): a row per group for a vertex, one fewer for a line.
 
-    When normalized, some coordinate outside the groups must take the
-    constant 1, so patterns whose groups cover all n coordinates are skipped.
-    ``ties``, when given, caps the groups of two or more coordinates.
+    Set partitions as restricted growth strings, with "constant" as one
+    more choice: each coordinate in turn takes a constant, opens a tie
+    group while a row is left for it (fewer than m + line groups) or joins
+    one within ``ties``, the cap on groups of two or more.  Groups and
+    members ascend.  When normalized, some coordinate must take the
+    constant 1, so groups covering all n coordinates are skipped.
     """
-    for size in range(line, n + (not normalized)):
-        for free in itertools.combinations(range(n), size):
-            for groups in _splits(list(free), ties):
-                for chosen in itertools.combinations(range(m), len(groups) - line):
-                    yield groups, chosen
+    states = [([], n if ties is None else ties, 0)]  # (tie groups, ties left, coordinates in them)
+    for j in range(n):  # each state keeps j a constant and grows by j opening or joining a group
+        for groups, left, covered in states.copy():
+            if len(groups) < m + line:
+                states.append(([*groups, [j]], left, covered + 1))
+            for i, g in enumerate(groups):
+                if len(g) > 1 or left:
+                    grown = [*groups[:i], [*g, j], *groups[i + 1:]]
+                    states.append((grown, left - (len(g) == 1), covered + 1))
+    return ((groups, chosen) for groups, _, covered in states
+            if line <= covered < n + (not normalized)
+            for chosen in itertools.combinations(range(m), len(groups) - line))
 
 
 def _group_matrix(rows, groups, chosen):
@@ -614,7 +596,7 @@ def solve_max_u(problem):
     there form a union of faces, so the maximum and the lexicographically
     largest maximizer sit at a vertex of such a piece, which ties coordinates
     only with v_i.  The search of ``solve_min_distance``, with the constants
-    0 and 1, thus takes the patterns with at most one tie group, and none
+    0 and 1, thus asks ``_patterns`` for at most one tie group, and none
     when normalized (then max(v) = 1); ``vertices`` counts their candidates.
     """
     if not isinstance(problem.objective, MaxU):

@@ -199,6 +199,11 @@ class TestSampleFunction:
         with pytest.raises(ValueError):
             sample_function(lambda x: x, 1)
 
+    def test_scalar_evaluator_is_called_per_breakpoint(self):
+        # math.exp takes no array, so each grid point is evaluated alone
+        f = sample_function(lambda x: math.exp(-x), 11)
+        assert f.vs.tolist() == [math.exp(-x) for x in np.linspace(0.0, 1.0, 11).tolist()]
+
 
 class TestLevelMeasure:
     def test_tent_is_one_minus_y_exactly(self):
@@ -251,6 +256,18 @@ class TestLevelMeasure:
         ])
         for f in [*cosines, *plateaus, steep]:
             assert_matches_active_set(f)
+
+    def test_zero_bound_is_positive_zero(self):
+        # np.unique may put -0.0 first among tied zeros, depending on its sort kernel
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            n = int(rng.integers(10, 401))
+            vs = rng.choice(np.array([0.0, -0.0, 0.25, 0.5, 1.0]), n)
+            vs[0] = 1.0
+            P = level_measure(PiecewisePossibility(np.column_stack((np.linspace(0.0, 1.0, n), vs))))
+            assert math.copysign(1.0, P.bounds[0]) == 1.0
+            out = rearrange(P).vs
+            assert not np.signbit(out[out == 0.0]).any()
 
     def test_matches_segment_oracle_on_random_functions(self, rng):
         for _ in range(100):
@@ -765,6 +782,16 @@ class TestInfoFromLevel:
         with pytest.raises(ValueError, match="total"):
             info_from_level(P)
 
+    def test_negative_level_measure_rejected(self):
+        P = LevelMeasure((0, 1), ((-0.5, -1.0),), 1.0)
+        with pytest.raises(ValueError, match="level measure goes negative"):
+            info_from_level(P)
+
+    def test_vanishing_on_the_final_piece_diverges(self):
+        P = LevelMeasure((0, 0.5, 1), ((0.5, -1.0), (-1e-12, -0.5)), 1.0)
+        with pytest.raises(DivergenceError, match="diverges on the final piece"):
+            info_from_level(P)
+
     def test_vanishing_before_one_diverges(self):
         # P drops to zero at y = 0.6: the underlying distribution is
         # subnormal and the integral diverges
@@ -940,6 +967,11 @@ class TestContinuousDistances:
         lower = meet_pw(RAMP_DOWN, self.up)  # the tent with peak 0.5
         upper = join_pw(RAMP_DOWN, self.up)
         assert g_cont(lower, upper) == math.inf
+
+    def test_join_distances_of_a_subnormal_curve_to_itself_are_zero(self):
+        # info(f) diverges, so the gaps to the join are 0 only as f is the join
+        for f in (PiecewisePossibility([(0, 0.5), (1, 0.25)]), meet_pw(RAMP_DOWN, self.up)):
+            assert big_g_cont(f, f) == 0.0 and big_k_cont(f, f) == 0.0
 
     def test_h_infinite_when_meet_subnormal(self):
         assert big_h_cont(RAMP_DOWN, self.up) == math.inf

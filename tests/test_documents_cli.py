@@ -428,6 +428,13 @@ class TestCli:
         final = float(lines[-1].split(",")[2])
         assert abs(final - 1.0) < 0.005
 
+    def test_approx_non_integer_count_is_usage_error(self, docs, tmp_path, capsys):
+        lin = docs("lin.json", {"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})
+        out = tmp_path / "series.csv"
+        assert run_command(["approx", lin, "--n", "10,x", "--csv", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:usage: --n must be a comma-separated")
+        assert not out.exists()
+
     def test_approx_of_subnormal_is_data_error(self, docs, tmp_path, capsys):
         sub = docs("sub.json", {"kind": "piecewise_linear", "points": [[0, 0.5], [1, 0.2]]})
         out = tmp_path / "series.csv"
@@ -494,6 +501,26 @@ class TestCli:
         assert payload["metadata"]["objective"] == "max_u"
         assert payload["metadata"]["objective_value"] == pytest.approx(
             0.4 * math.log(2), abs=1e-12
+        )
+
+    def test_infer_min_distance_writes_solution(self, docs, tmp_path):
+        prior = {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]}
+        prob = docs(
+            "prob.json",
+            {
+                "labels": ["a", "b"],
+                "constraints": [{"coefficients": [1, 0], "relation": "<=", "bound": 0.4}],
+                "objective": {"type": "min_distance", "metric": "G", "prior": prior},
+            },
+        )
+        out = tmp_path / "sol.json"
+        assert run_command(["infer", prob, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        # normalized with a <= 0.4, so b = 1; G = (2 - a - 0.5) ln 2 is least at a = 0.4
+        assert payload["values"] == [0.4, 1.0]
+        assert payload["metadata"]["objective"] == "min_distance"
+        assert payload["metadata"]["objective_value"] == pytest.approx(
+            1.1 * math.log(2), abs=1e-12
         )
 
     def test_infer_exactly_feasible_optimum_at_1e300_scale(self, docs, tmp_path):

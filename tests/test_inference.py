@@ -28,7 +28,6 @@ from possinfo.inference import (
     _dyadic,
     _float_pass,
     _grid,
-    _partitions,
     _patterns,
     _position_weights,
     _solve_integer,
@@ -52,7 +51,7 @@ from conftest import (
     violation_by_arrangement,
     violation_score_by_fractions,
 )
-from test_solver_answers import ANSWERS, answer, answer_problems
+from test_solver_answers import ANSWERS, answer, answer_problems, answers
 
 LN2 = math.log(2.0)
 
@@ -269,6 +268,18 @@ class TestIntegerKernel:
         assert lines > 100
 
 
+def _partitions(items):
+    """Every split of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
 def filtered_patterns(n, m, line, normalized, ties):
     """The search's patterns as every split of ``_partitions``, filtered by its tie groups."""
     for size in range(line, n + (not normalized)):
@@ -287,13 +298,16 @@ class TestSearchParts:
         def canonical(patterns):  # a pattern's groups in any order are the same pattern
             return sorted((sorted(map(tuple, groups)), chosen) for groups, chosen in patterns)
 
-        for n, m, line, normalized in itertools.product(range(8), range(3), (False, True),
+        for n, m, line, normalized in itertools.product(range(8), range(4), (False, True),
                                                         (False, True)):
-            got = canonical(_patterns(n, m, line, normalized, ties))
+            got = list(_patterns(n, m, line, normalized, ties))
+            for groups, _ in got:  # groups and their members ascend
+                assert all(g == sorted(g) for g in groups), groups
+                assert [g[0] for g in groups] == sorted(g[0] for g in groups), groups
             expected = canonical(filtered_patterns(n, m, line, normalized, ties))
-            assert got == expected, (n, m, line, normalized)
-        # one tie group among 10 free coordinates: 2**10 - 10 splits, of Bell(10) = 115975
-        assert len(list(inference._splits(list(range(10)), 1))) == 2**10 - 10
+            assert canonical(got) == expected, (n, m, line, normalized)
+        # 10 labels, 1 row, unnormalized, one tie group or none: one pattern per subset
+        assert sum(1 for _ in _patterns(10, 1, False, False, 1)) == 2**10
 
     def test_grid_is_the_product_in_order(self):
         for values in ([0.5], [0.0, 1.0], [0.0, 0.3, 1.0], np.linspace(0.0, 1.0, 11).tolist()):
@@ -319,12 +333,11 @@ class TestSearchParts:
 
     def test_answers_do_not_depend_on_pattern_order(self, monkeypatch):
         # every candidate within 1e-9 of the best float score is rescored exactly
-        problems = list(itertools.islice(answer_problems(), 90))
-        expected = [answer(p) for p in problems]
-        forward = inference._patterns
-        monkeypatch.setattr(inference, "_patterns",
-                            lambda *args: reversed(list(forward(*args))))
-        assert [answer(p) for p in problems] == expected
+        expected = list(zip(*answers()))
+        forward, rng = inference._patterns, random.Random(25)
+        for order in (lambda ps: ps[::-1], lambda ps: rng.sample(ps, len(ps))):
+            monkeypatch.setattr(inference, "_patterns", lambda *args: order(list(forward(*args))))
+            assert [answer(p) for p in answer_problems()] == expected
 
 
 def seeded_searches(extreme=True):
