@@ -11,9 +11,9 @@ admits closed forms:
 
       info(f) = integral_0^1 (1 - f~(x)) / x dx
 
-  (f~ the rearrangement) is integrated on the level side: the change of
-  variables x = P(y) turns it into an integral over levels that is in
-  closed form on every piece of P.
+  (f~ the rearrangement) is -integral_0^1 ln P(y) dy, by swapping the
+  integrals in 1 - f~(x) = integral_0^1 [f~(x) < y] dy, and is integrated
+  on the level side in closed form on every piece of P.
 
 The integral is the information distance from the uniform assignment
 f == 1; it diverges for subnormal inputs (sup f < 1), which is reported
@@ -30,7 +30,6 @@ from .errors import DivergenceError, OrderViolationError
 
 _SNAP = 1e-12
 _REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _float_array(values):
@@ -197,11 +196,11 @@ class LevelMeasure:
     in [2^(s-1), 2^s), with an integer exponent e: its row (d0, d1, d2)
     means P = 2^e (d0 + u (d1 + u d2)), u = (y - b_{k+1}) / 2^s <= 0.  For
     the pieces built here no coefficient exceeds twice P on the piece and
-    d1 <= 0 <= d2, so evaluation never cancels.  The information integral,
-    the jumps' log-ratios and a piece's inverse do not change under a power
-    of two, so one rule sets e: 0 while every nonzero coefficient lies in
-    [2^-511, 2^510), where squares and products of two are normal floats,
-    else the power of two that brings the largest into [2^508, 2^509).
+    d1 <= 0 <= d2, so evaluation never cancels.  A power of two leaves a
+    piece's inverse as it is and adds -w e ln 2 to its -integral ln P, so
+    one rule sets e: 0 while every nonzero coefficient lies in [2^-511,
+    2^510), where squares and products of two are normal floats, else the
+    power of two that brings the largest into [2^508, 2^509).
     Rows are given in t = y - b_{k+1}, as (d0, d1), (d0, d1, d2) or a K-by-3
     array of finite floats; ``bounds`` and ``coeffs`` are tuples built on
     each access, and ``coeffs`` folds unit and exponent back in: 0 or +-inf
@@ -468,82 +467,60 @@ def info(f):
     return info_from_level(level_measure(f))
 
 
-def _piece_integrals(c, w, h, s):
-    """Integral of (1 - y) * (-P'(y)) / P(y) over each piece, in closed form.
+def _ramp_offsets(top, fall):
+    """Mean of ln(l / low) over linear pieces l from low = top + fall > 0 at their bottom to top >= 0.
 
-    Rows c are as stored (see ``LevelMeasure``): the scale of P leaves the
-    integrand as it is, and a root in u is 2^-s times its root r in t.  In
-    t over [-w, 0] the integrand sums 1 - (h - r) / (t - r) over the roots,
-    h = 1 - b_{k+1}.  A real root adds w + (h - r) * log1p(w / r); a root at
-    t = 0 occurs only at the top level 1, where h = 0, and adds w.  A
-    conjugate pair a +- ib adds 2w + (h - a) ln(P(-w) / P(0)) - 2b * theta,
-    theta the angle the piece subtends at a + ib (the double-root value as
-    b -> 0).
+    It is t(d) = integral_0^1 ln(1 - d x) dx = -1 - g log1p(-d) / d, d = fall / low <= 1, g = top / low
+    = 1 - d without cancellation, t(1) = -1; where |d| < 2^-8 that form cancels, and t is summed from its
+    series -sum_n d^n / (n (n + 1)).
+    """
+    low = top + fall
+    d = fall / low
+    t, small = np.empty_like(d), np.abs(d) < 2.0**-8
+    x = d[small]
+    t[small] = -x * (1 / 2 + x * (1 / 6 + x * (1 / 12 + x * (1 / 20 + x * (1 / 30 + x / 42)))))
+    x, g = d[~small], top[~small] / low[~small]
+    t[~small] = -1.0 - g * np.log1p(-np.minimum(x, 1.0 - 2.0**-53)) / x  # 0 * finite at d = 1
+    return t
+
+
+def _quad_offsets(c, W):
+    """Mean of ln(q / q(-W)) over pieces q = d0 + u (d1 + u d2) of degree <= 2, u in [-W, 0], q(-W) > 0.
+
+    Real roots split q = (r - d2 u) (d0 - r u) / r, r = (sqrt(disc) - d1) / 2 >= 0 free of cancellation,
+    into linear factors whose offsets add.  r = 0 only for q = d2 u^2, offset -2, or a constant, 0; a
+    conjugate pair a +- i beta has -2 + (a ln(q(-W) / d0) + 2 beta theta) / W, theta the piece's angle
+    at a + i beta.
     """
     d0, d1, d2 = c.T
-    out = np.zeros(len(c))
-
-    def root_terms(num, den, k):
-        # w + (h - r) ln(1 + w/r), r = 2^s num / den.  Off r's normal range, ln(w/r) comes from frexp
-        # of w, den and num, and an overflowed r takes the limit r ln(1 + w/r) -> w
-        wk, hk, sk = w[k], h[k], s[k]
-        with np.errstate(over="ignore"):
-            r = np.ldexp(np.divide(num, den, out=np.zeros_like(num), where=den != 0.0), sk)
-        a = np.abs(r)
-        odd = ((a < _TINY) & (num != 0.0)) | (a > _HUGE)
-        if not odd.any():
-            return wk + (hk - r) * np.log1p(np.divide(wk, r, out=np.zeros_like(r), where=r != 0.0))
-        (mw, ew), (md, ed), (mn, en) = (np.frexp(v[odd]) for v in (wk, den, num))
-        lw = np.logaddexp(0.0, np.log(mw * md / mn) + (ew + ed - en - sk[odd]) * math.log(2.0))
-        terms = np.empty_like(r)
-        terms[~odd] = root_terms(num[~odd], den[~odd], k[~odd])
-        r_odd = np.clip(r[odd], -_HUGE, _HUGE)  # so that r ln(1 + w/r) is never inf * 0
-        terms[odd] = hk[odd] * lw + np.where(a[odd] > 1.0, 0.0, wk[odd] - r_odd * lw)
-        return terms
-
-    k = np.flatnonzero((d2 == 0.0) & (d1 != 0.0))  # linear: one root, at d0 / -d1
-    out[k] = root_terms(d0[k], -d1[k], k)
-
-    quad = np.flatnonzero(d2 != 0.0)
-    if not quad.size:  # level_measure builds linear pieces only
-        return out
-    disc = d1[quad] * d1[quad] - 4.0 * d0[quad] * d2[quad]
-    real = disc >= 0.0
-    # two real roots q / d2 and d0 / q, with q = (sqrt(disc) - d1) / 2 >= 0
-    # free of cancellation; q = 0 only for a double root at t = 0
-    k = quad[real]
-    q = 0.5 * (np.sqrt(disc[real]) - d1[k])
-    out[k] = root_terms(q, d2[k], k) + root_terms(d0[k], q, k)
-
-    k, disc = quad[~real], disc[~real]
-    sk = s[k]
-    uk, a = np.ldexp(w[k], -sk), -d1[k] / (2.0 * d2[k])
-    beta = np.sqrt(-disc) / (2.0 * d2[k])
-    theta = np.arctan2(beta * uk, a * (a + uk) + beta * beta)
-    rise = np.log1p(uk * (uk * d2[k] - d1[k]) / d0[k])  # ln(P(-w) / P(0))
-    out[k] = 2.0 * w[k] + (h[k] - np.ldexp(a, sk)) * rise - 2.0 * np.ldexp(beta, sk) * theta
+    disc = d1 * d1 - 4.0 * d0 * d2
+    out, real = np.where(d2 != 0.0, -2.0, 0.0), disc >= 0.0
+    r = 0.5 * (np.sqrt(disc[real]) - d1[real])
+    k, r = np.flatnonzero(real)[r > 0.0], r[r > 0.0]
+    fa, fb = d2[k] * W[k], r * W[k]  # the factors' falls from u = -W to 0
+    out[k] = _ramp_offsets(r, fa) + _ramp_offsets(d0[k], fb)
+    d0, d1, d2, W = d0[~real], d1[~real], d2[~real], W[~real]
+    a, beta = -d1 / (2.0 * d2), np.sqrt(-disc[~real]) / (2.0 * d2)
+    theta = np.arctan2(beta * W, a * (a + W) + beta * beta)
+    out[~real] += (a * np.log1p(W * (W * d2 - d1) / d0) + 2.0 * beta * theta) / W
     return out
 
 
 def info_from_level(level):
     """Information value computed directly on the level-measure side.
 
-    Change of variables x = P(y) turns the defining integral into
-
-        integral_0^1 (1 - y) * (-P'(y)) / P(y) dy
-
-    plus a term (1 - y) * ln(P(y-) / P(y+)) for each downward jump of P.
-    Every piece integrates in closed form over the roots of its anchored
-    polynomial (see ``LevelMeasure``), real or complex, in one array pass;
-    the jumps read the exponents.  ``info`` is this on ``level_measure(f)``.
+    Swapping the integrals in 1 - f~(x) = integral_0^1 [f~(x) < y] dy
+    (Tonelli) gives -integral_0^1 ln P(y) dy: jumps of P need no term.  A
+    piece of width w adds -w (ln P(ya+) + mean of ln(P / P(ya+))), the
+    mean from one kernel for linear pieces and the linear factors of
+    quadratic ones.  Each term is >= 0 (P <= total = 1), so a plain sum
+    loses nothing.  ``info`` is this on ``level_measure(f)``.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"information requires total measure 1, got {level.total!r}")
-    b, c, e = level._b, level._c, level._e
-    ya, yb = b[:-1], b[1:]
-    top, w = c[:, 0], yb - ya
-    bottom = _eval(c, np.ldexp(ya - yb, -level._s))  # limit of P as y -> ya from above, over 2^e
-    prev, up = np.concatenate(([level.total], top[:-1])), e - np.concatenate(([0], e[:-1]))
+    ya, yb, c, e = level._b[:-1], level._b[1:], level._c, level._e
+    w, W = yb - ya, np.ldexp(yb - ya, -level._s)  # W: the width in the unit of the piece
+    top, bottom = c[:, 0], _eval(c, -W)  # bottom: the limit of P as y -> ya from above, over 2^e
     if not (bottom.min() > 0.0 and top[:-1].min(initial=1.0) > 0.0 and top[-1] >= 0.0):
         tol = _fold(-1e-9, -e)  # over 2^e, as the rows
         checks = np.array([bottom < tol, bottom <= 0.0, top < tol, (top <= 0.0) & (yb < 1.0), top < 0.0])
@@ -555,9 +532,12 @@ def info_from_level(level):
             raise DivergenceError("information integral diverges on the final piece")
         at = float((ya if check == 1 else yb)[k])
         raise DivergenceError(f"information integral diverges: P vanishes at level {at!r} < 1")
-    jump = _fold(prev, -up) > bottom  # P just below each piece, over 2^e
-    jumps = (1.0 - ya[jump]) * (np.log(prev[jump]) - np.log(bottom[jump]) - up[jump] * math.log(2.0))
-    return math.fsum(np.concatenate((jumps, _piece_integrals(c, w, 1.0 - yb, level._s))).tolist())
+    # the mean of ln(P / P(ya+)) on each piece; level_measure builds linear pieces only
+    offset = _quad_offsets(c, W) if c[:, 2].any() else _ramp_offsets(top, W * -c[:, 1])
+    if e.any():  # ln P(ya+) from one binary exponent: ln bottom and e ln 2 could cancel
+        m, x = np.frexp(bottom)
+        return 0.0 - float(np.sum(w * (np.log(m) + (x + e) * math.log(2.0) + offset)))
+    return 0.0 - float(np.sum(w * (np.log(bottom) + offset)))
 
 
 def _recentred(p, upper, s):

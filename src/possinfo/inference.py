@@ -162,11 +162,13 @@ def _patterns(n, m, line, normalized, ties=None):
     group while a row is left for it (fewer than m + line groups) or joins
     one within ``ties``, the cap on groups of two or more.  Groups and
     members ascend.  When normalized, some coordinate must take the
-    constant 1, so groups covering all n coordinates are skipped.
+    constant 1, so no state groups all n coordinates.
     """
     states = [([], n if ties is None else ties, 0)]  # (tie groups, ties left, coordinates in them)
     for j in range(n):  # each state keeps j a constant and grows by j opening or joining a group
         for groups, left, covered in states.copy():
+            if normalized and covered == n - 1:
+                continue
             if len(groups) < m + line:
                 states.append(([*groups, [j]], left, covered + 1))
             for i, g in enumerate(groups):

@@ -591,6 +591,16 @@ class TestSubnormalWidths:
         "subnormal_root_losing_bits": 709.0130731512899,
         "spike_narrower_than_the_subnormal_range": 0.49134315996880015,
     }
+    # info near 0, where an error of one ulp of 1 on a nearly flat piece would swamp it:
+    # a fall to 1e-300 across the last 2^-53 of the domain (P = 1 - 2^-53 y), and a
+    # spike to 1 about 1e-100 wide over a plateau at 0.999999999999
+    TINY_INFO = {
+        "last_segment_one_ulp_wide": ([(0, 1), (0.9999999999999999, 1), (1, 1e-300)], 5.5511151231257829076e-17),
+        "spike_over_a_plateau_just_below_1": (
+            [(0, 1e-100), (1e-300, 1), (1e-100, 0.999999999999), (1, 0.999999999999)],
+            2.3125339346338613071e-10,
+        ),
+    }
     # f falls from 1 to 0 across [0, 1e-310]; g rises from 0 to 1 there
     NARROW_FALL = PiecewisePossibility([(0, 1), (1e-310, 0), (1, 0)])
     NARROW_RISE = PiecewisePossibility([(0, 0), (1e-310, 1), (1, 1)])
@@ -599,6 +609,11 @@ class TestSubnormalWidths:
     def test_info_matches_high_precision_value(self, name):
         value = info(PiecewisePossibility(ADVERSARIAL[name]))
         assert value == pytest.approx(self.EXPECTED_INFO[name], rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(TINY_INFO))
+    def test_tiny_info_keeps_its_relative_digits(self, name):
+        points, expected = self.TINY_INFO[name]
+        assert info(PiecewisePossibility(points)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_spike_level_measure_keeps_its_exponents(self):
         # pickle, copy and deepcopy rebuild the pieces, exponents included,
@@ -767,9 +782,10 @@ class TestInfoFromLevel:
 
     def test_nearly_flat_piece_keeps_its_digits(self):
         # P = 1 - eps * y on [0, 1/2], then linear down to P(1) = 0.  The
-        # first piece's root lies about 1e10 beyond it, so its term
-        # w + (h - r) * log1p(w / r) cancels to 0.375 eps + O(eps^2) and
-        # needs log1p: log(1 + w / r) would be off by about 1e-6
+        # first piece falls by d = eps / 2 of its bottom value, so its mean
+        # of ln P is ln P(0) + t(d), t(d) = -d / 2 - d^2 / 6 - ...; the
+        # closed form -1 - (1 - d) log1p(-d) / d would cancel t to about
+        # five digits, and the series keeps them all
         eps = 1e-10
         P = LevelMeasure(
             (0.0, 0.5, 1.0), ((1.0 - 0.5 * eps, -eps, 0.0), (0.0, -2.0 * (1.0 - 0.5 * eps), 0.0)),
@@ -808,8 +824,10 @@ class TestInfoFromLevel:
             ((0.3, -0.4, 0.3), lambda y: (1 - y) * (1 - 0.6 * y) / (1 - y + 0.3 * y * y)),
             # P = 1 - 0.5 y - 0.5 y^2 = (1 - y)(1 + 0.5 y): concave
             ((0.0, -1.5, -0.5), lambda y: (0.5 + y) / (1 + 0.5 * y)),
+            # P = (1 - y / 2)(1 - 3 y / 4): real roots past the top, where P = 1/8
+            ((0.125, -0.5, 0.375), lambda y: -np.log((1 - 0.5 * y) * (1 - 0.75 * y))),
         ],
-        ids=["complex_roots", "concave"],
+        ids=["complex_roots", "concave", "real_roots"],
     )
     def test_user_built_quadratic(self, coeffs, integrand):
         P = LevelMeasure((0.0, 1.0), (coeffs,), total=1.0)

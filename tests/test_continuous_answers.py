@@ -28,6 +28,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from test_solver_answers import rewrite
 
@@ -88,6 +89,23 @@ def answer(name, f):
         "product_info": _hex_or_error(info_from_level, PP),
         "rearranged": [len(points), hashlib.sha256(text.encode()).hexdigest()],
     }
+
+
+# -integral_0^1 ln P(y) dy of the stored pieces of L = level_measure(f) and of
+# product_level(L, L), at 50 digits (mpmath, piece by piece in closed form)
+EXACT = {
+    "cos 18 periods n=10000": (0.82417976813314455955548029398934607, 1.6483595362662891166476540895204629),
+    "plateau 0 n=10000": (0.87457272122327140201532188129716, 1.7491454424465428026298311065180),
+    "x^5 n=1000": (2.2833198774682046832463385524815, 4.5666397549364093657778923119773),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_integrator_matches_the_exact_integral_of_its_pieces(name):
+    L = level_measure(dict(answer_curves())[name])
+    exact, product = EXACT[name]
+    assert info_from_level(L) == pytest.approx(exact, rel=5e-16, abs=0.0)
+    assert info_from_level(product_level(L, L)) == pytest.approx(product, rel=5e-16, abs=0.0)
 
 
 def test_answers_match_the_committed_file():
