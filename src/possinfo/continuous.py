@@ -501,7 +501,8 @@ def _quad_offsets(c, W):
     out[k] = _ramp_offsets(r, fa) + _ramp_offsets(d0[k], fb)
     d0, d1, d2, W = d0[~real], d1[~real], d2[~real], W[~real]
     a, beta = -d1 / (2.0 * d2), np.sqrt(-disc[~real]) / (2.0 * d2)
-    theta = np.arctan2(beta * W, a * (a + W) + beta * beta)
+    x = np.frexp(np.maximum(np.abs(a), beta))[1]  # theta's arguments over 2^x, where none overflows
+    theta = np.arctan2(np.ldexp(beta, -x) * W, np.ldexp(a, -x) * (a + W) + np.ldexp(beta, -x) * beta)
     out[~real] += (a * np.log1p(W * (W * d2 - d1) / d0) + 2.0 * beta * theta) / W
     return out
 
@@ -509,29 +510,28 @@ def _quad_offsets(c, W):
 def info_from_level(level):
     """Information value computed directly on the level-measure side.
 
-    Swapping the integrals in 1 - f~(x) = integral_0^1 [f~(x) < y] dy
-    (Tonelli) gives -integral_0^1 ln P(y) dy: jumps of P need no term.  A
-    piece of width w adds -w (ln P(ya+) + mean of ln(P / P(ya+))), the
-    mean from one kernel for linear pieces and the linear factors of
-    quadratic ones.  Each term is >= 0 (P <= total = 1), so a plain sum
-    loses nothing.  ``info`` is this on ``level_measure(f)``.
+    It is -integral_0^1 ln P(y) dy (see the module docstring), so jumps of P need no term.  A piece
+    of width w adds -w (ln P(ya+) + mean of ln(P / P(ya+))), the mean from one kernel for linear
+    pieces and the linear factors of quadratic ones.  Each term is >= 0 (P <= total = 1), so a plain
+    sum loses nothing.  It diverges only where P vanishes on an interval, at a piece whose bottom
+    P(ya+) is 0; a lone zero is finite.  At the first piece to fail a rule, a bottom or top below
+    -1e-9 raises ValueError, and a bottom <= 0 (at its ya) or a final top below 0 DivergenceError.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"information requires total measure 1, got {level.total!r}")
     ya, yb, c, e = level._b[:-1], level._b[1:], level._c, level._e
     w, W = yb - ya, np.ldexp(yb - ya, -level._s)  # W: the width in the unit of the piece
     top, bottom = c[:, 0], _eval(c, -W)  # bottom: the limit of P as y -> ya from above, over 2^e
-    if not (bottom.min() > 0.0 and top[:-1].min(initial=1.0) > 0.0 and top[-1] >= 0.0):
-        tol = _fold(-1e-9, -e)  # over 2^e, as the rows
-        checks = np.array([bottom < tol, bottom <= 0.0, top < tol, (top <= 0.0) & (yb < 1.0), top < 0.0])
+    tol = _fold(-1e-9, -e)  # over 2^e, as the rows
+    if not (bottom.min() > 0.0 and top[-1] >= 0.0 and (top >= tol).all()):
+        checks = np.array([bottom < tol, bottom <= 0.0, top < tol, (top < 0.0) & (yb == 1.0)])
         k = int(np.argmax(checks.any(axis=0)))
         check = int(np.argmax(checks[:, k]))
         if check in (0, 2):
             raise ValueError("level measure goes negative")
-        if check == 4:
+        if check == 3:
             raise DivergenceError("information integral diverges on the final piece")
-        at = float((ya if check == 1 else yb)[k])
-        raise DivergenceError(f"information integral diverges: P vanishes at level {at!r} < 1")
+        raise DivergenceError(f"information integral diverges: P vanishes at level {float(ya[k])!r} < 1")
     # the mean of ln(P / P(ya+)) on each piece; level_measure builds linear pieces only
     offset = _quad_offsets(c, W) if c[:, 2].any() else _ramp_offsets(top, W * -c[:, 1])
     if e.any():  # ln P(ya+) from one binary exponent: ln bottom and e ln 2 could cancel

@@ -204,6 +204,12 @@ class TestSampleFunction:
         f = sample_function(lambda x: math.exp(-x), 11)
         assert f.vs.tolist() == [math.exp(-x) for x in np.linspace(0.0, 1.0, 11).tolist()]
 
+    def test_evaluator_of_the_wrong_shape_is_called_per_breakpoint(self):
+        # a constant gives one number for the whole grid, not one per point
+        calls = []
+        f = sample_function(lambda x: calls.append(x) or 0.5, 5)
+        assert f.vs.tolist() == [0.5] * 5 and len(calls) == 6  # the grid once, then each point
+
 
 class TestLevelMeasure:
     def test_tent_is_one_minus_y_exactly(self):
@@ -653,7 +659,7 @@ class TestSubnormalWidths:
     def test_meet_and_join_cross_inside_a_narrow_segment(self):
         for combine in (meet_pw, join_pw):
             h = combine(self.NARROW_FALL, self.NARROW_RISE)
-            assert h.xs[1] == pytest.approx(5e-311, rel=1e-12)
+            assert h.xs[1] == pytest.approx(5e-311, rel=1e-12, abs=0.0)
             assert h.vs[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_distances_across_a_narrow_segment(self):
@@ -738,7 +744,11 @@ class TestSubnormalWidths:
         # whose factors have finite information (169 of them once raised or
         # missed), and within rel 1e-12 on the 309 steep ones whose factors
         # have no nonzero coefficient below 2^-511: the 247 checked at that
-        # limit before, 9 that raised "must be finite" and 53 newly steep
+        # limit before, 9 that raised "must be finite" and 53 newly steep.
+        # Both bounds carry abs=1e-15 in place of pytest.approx's default 1e-12,
+        # which would pass any value below 1e-12: five products of tiny information
+        # sit up to 2.5e-17 from their factors' sum (pair 4567 reads 2.1068e-13
+        # against 2.1070e-13), and the relative bounds alone would fail them
         rng = np.random.default_rng(1)
         steep = tight = finite = 0
         for _ in range(8000):
@@ -751,16 +761,52 @@ class TestSubnormalWidths:
             if parts is not None:
                 finite += 1
                 value = info_from_level(PP)
-                assert value == pytest.approx(parts, rel=1e-9)
+                assert value == pytest.approx(parts, rel=1e-9, abs=1e-15)
             if (coefficient_exponents(PP)[:, 1] > 512).any():
                 steep += 1
                 if parts is not None and all((coefficient_exponents(L) >= -510).all() for L in (Lf, Lg)):
                     tight += 1
-                    assert value == pytest.approx(parts, rel=1e-12)
+                    assert value == pytest.approx(parts, rel=1e-12, abs=1e-15)
                 ft = rearrange(PP)
                 if len(ft.points) < 1000:
                     assert ft == rearrange_by_refinement(PP)
         assert (steep, finite, tight) == (678, 6217, 309)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # on the level piece (1e-12, 0.9999999999999999] the product's top value,
+            # about 2^-2145, reads 0 while the piece above stays positive
+            (
+                [(0, 1), (1e-310, 1), (1.0000000001e-300, 1e-12), (0.6148953830762405, 0.9999999999999999),
+                 (1, 1e-100)],
+                [(0, 1), (1e-320, 1e-310), (1, 0.9999999999999999)],
+            ),
+            (
+                [(0, 1), (1e-320, 1e-12), (1, 1e-310)],
+                [(0, 0.7431103595687056), (1e-300, 1), (1e-200, 1e-12), (1, 1e-310)],
+            ),
+            # equal relative slopes: the discriminant rounds below 0, a conjugate
+            # pair far from the piece, whose |a|^2 passes the float range
+            (
+                [(0, 1e-310), (1, 1)],
+                [(0, 1e-200), (1e-12, 1), (0.9583303974233905, 5e-324), (1, 0.9999999999999999)],
+            ),
+            (
+                [(0, 5e-324), (0.999999999999, 1), (0.9999999999990001, 1), (0.9999999999999999, 1e-200),
+                 (1, 1e-16)],
+                [(0, 1), (1, 5e-324)],
+            ),
+        ],
+        ids=["seed2_pair5528", "seed3_pair2720", "seed3_pair1244", "seed7_pair3253"],
+    )
+    def test_products_of_finite_information_factors_add(self, f, g):
+        # pairs of the seeded product sweep above run on other seeds: a top of
+        # P that underflows to 0 is a lone zero, not a vanishing interval
+        Lf, Lg = level_measure(PiecewisePossibility(f)), level_measure(PiecewisePossibility(g))
+        parts = info_from_level(Lf) + info_from_level(Lg)
+        assert info_from_level(product_level(Lf, Lg)) == pytest.approx(parts, rel=1e-15, abs=0.0)
 
 
 class TestInfoFromLevel:
@@ -814,8 +860,21 @@ class TestInfoFromLevel:
         P = LevelMeasure(
             (0.0, 0.6, 1.0), ((0.0, -1.0 / 0.6, 0.0), (0.0, 0.0, 0.0)), total=1.0
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="P vanishes at level 0.6 < 1"):
             info_from_level(P)
+        # f falls from 1/2 to 0: P = 1 - 2y vanishes from y = 1/2 on
+        with pytest.raises(DivergenceError, match="P vanishes at level 0.5 < 1"):
+            info_from_level(level_measure(PiecewisePossibility([(0, 0.5), (1, 0)])))
+
+    @pytest.mark.filterwarnings("error")
+    def test_conjugate_pair_beyond_the_float_range(self):
+        # P = c + 1e-320 (y - 1)^2: its complex roots a +- i beta have beta^2
+        # past the float range, where the angle theta once read 0 (with an
+        # overflow warning) and the offset -2 in place of about 0; the
+        # conjugate form keeps about 1e-16 in absolute terms
+        c = 0.999999999999
+        P = LevelMeasure((0.0, 1.0), ((c, 0.0, 1e-320),), total=1.0)
+        assert info_from_level(P) == pytest.approx(-math.log(c), rel=0.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "coeffs, integrand",

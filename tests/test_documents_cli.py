@@ -315,6 +315,15 @@ class TestPointDocuments:
         assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in expected]
 
 
+def _problem(**fields):
+    """A feasible two-label max-U problem document with the given fields replaced."""
+    return {"labels": ["a", "b"], "constraints": [], "objective": {"type": "max_u"}, **fields}
+
+
+def _min_distance(prior):
+    return {"type": "min_distance", "metric": "G", "prior": prior}
+
+
 @pytest.fixture
 def docs(tmp_path):
     def write(name, payload):
@@ -568,6 +577,47 @@ class TestCli:
         assert run_command(["infer", prob, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:data: constraints[0]: coefficients and bound must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, document, message",
+        [
+            ("infer", ["a", "b"], "document root must be an object, got list"),
+            ("infer", _problem(constraints={}), "'constraints' must be an array"),
+            ("infer", _problem(constraints=[[1, 0]]), "constraints[0] must be an object"),
+            ("infer", _problem(constraints=[{"coefficients": [1, 0], "relation": "<=", "bound": "1"}]),
+             "constraints[0].bound must be a number"),
+            ("infer", _problem(constraints=[{"coefficients": [1, 0], "relation": "<=", "bound": True}]),
+             "constraints[0].bound must be a number"),
+            ("infer", _problem(objective="max_u"), "'objective' must be an object"),
+            ("infer", _problem(objective={"type": "min_u"}), "unknown objective type 'min_u'"),
+            ("infer", _problem(objective=_min_distance({"kind": "piecewise_linear", "points": [[0, 1], [1, 0]]})),
+             "'objective.prior' must be a discrete distribution"),
+            ("infer", _problem(require_normalized=1), "'require_normalized' must be a boolean"),
+            ("infer", _problem(labels=["a", 2]), "'labels' must be an array of strings"),
+            ("infer", _problem(objective=_min_distance({"kind": "discrete", "labels": ["a", "b"], "values": 1})),
+             "'values' must be an array"),
+            ("infer", _problem(objective=_min_distance({"kind": "piecewise_linear", "points": {"x": 0}})),
+             "'points' must be an array of [x, v] pairs"),
+            ("infer", _problem(objective=_min_distance({"kind": "piecewise_linear", "points": [[0, 1]]})),
+             "need at least two breakpoints"),
+            ("tau", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]},
+             "expected a document with kind 'tau'"),
+        ],
+        ids=["root_not_object", "constraints_not_array", "constraint_not_object", "bound_a_string",
+             "bound_a_boolean", "objective_not_object", "unknown_objective", "prior_not_discrete",
+             "require_normalized_not_boolean", "labels_not_strings", "values_not_array", "points_not_array",
+             "one_breakpoint", "tau_of_another_kind"],
+    )
+    def test_malformed_documents_are_one_data_line(self, docs, tmp_path, capsys, command, document, message):
+        path, out = docs("doc.json", document), tmp_path / "out.json"
+        if command == "infer":
+            argv = ["infer", path, "--out", str(out)]
+        else:
+            two = docs("two.json", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]})
+            argv = ["uncertainty", two, "--tau", path]
+        assert run_command(argv) == 2
+        assert capsys.readouterr() == ("", f"error:data: {message}\n")
         assert not out.exists()
 
     def test_usage_error_is_exit_one(self, capsys):
