@@ -29,7 +29,7 @@ from .discrete import NORMALIZATION_TOL
 from .errors import DivergenceError, OrderViolationError
 
 _SNAP = 1e-12
-_REARRANGE_TOL = 1e-9  # sup-norm error of rearrange's interpolant on quadratic pieces
+_REARRANGE_TOL = 1e-9  # sup-norm error in y of rearrange's chords on each piece, away from x = 1
 
 
 def _float_array(values):
@@ -221,15 +221,16 @@ class LevelMeasure:
         if not (b[1:] > b[:-1]).all():
             raise ValueError("bounds must be strictly increasing")
         c, e = _normalized(c, np.zeros(len(c), dtype=np.int32))  # before the change of unit, as after it
-        return cls._scaled(b, *_normalized(np.ldexp(c, np.outer(_units(b), (0, 1, 2))), e), total)
+        s = _units(b)
+        return cls._scaled(b, *_normalized(np.ldexp(c, np.outer(s, (0, 1, 2))), e), s, total)
 
     @classmethod
-    def _scaled(cls, b, c, e, total):
-        """The builders' path: rows c in the units of each piece, each under the range rule."""
+    def _scaled(cls, b, c, e, s, total):
+        """The builders' path: rows c in each piece's unit 2^s (``_units(b)``), each under the range rule."""
         level, total = object.__new__(cls), float(total)
         if not (math.isfinite(c.sum()) and math.isfinite(total)):
             raise ValueError("level measure coefficients and total must be finite")
-        for name, value in zip(cls.__slots__, (*map(_frozen, (b, c, e, _units(b))), total)):
+        for name, value in zip(cls.__slots__, (*map(_frozen, (b, c, e, s)), total)):
             object.__setattr__(level, name, value)
         return level
 
@@ -245,7 +246,7 @@ class LevelMeasure:
         raise AttributeError("LevelMeasure is immutable")
 
     def __reduce__(self):
-        return LevelMeasure._scaled, (self._b, self._c, self._e, self.total)
+        return LevelMeasure._scaled, (self._b, self._c, self._e, self._s, self.total)
 
     def __eq__(self, other):
         if not isinstance(other, LevelMeasure):
@@ -332,105 +333,59 @@ def level_measure(f):
         r, x = mw / ms, xw - xs - e[piece]  # w / span = r 2^(x + e)
         again = rows(np.ldexp(r, x + s[piece]), np.ldexp(r * above, x), np.ldexp(top, -e))
         c[redo], e[redo] = (a[redo] for a in _normalized(again, e))
-    return LevelMeasure._scaled(b, c, e, float(total))
-
-
-def _invert(d0, d1, d2, s, ya, yb, x):
-    """Solve P(y) = x on nonincreasing quadratic pieces, elementwise.
-
-    Rows and x are in each piece's units (see ``LevelMeasure``).  With
-    e = x - d0 >= 0 the offset u solves d2 u^2 + d1 u - e = 0; the root on
-    the piece is taken in the form that adds -d1 >= 0 to the square root,
-    so it never cancels, and y = yb + 2^s u.
-    """
-    e = x - d0
-    u = -2.0 * e / (-d1 + np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * e, 0.0)))
-    return np.clip(yb + np.ldexp(u, s), ya, yb)
-
-
-def _quad_inverse_points(c, e, s, ya, yb, pa, pb):
-    """Sampled inverse graphs of quadratic pieces, refined breadth-first.
-
-    The graph of piece j (row c[j], exponent e[j], unit 2^s[j]) runs from
-    (pb[j], yb[j]) to (pa[j], ya[j]).  An interval is halved until the chord
-    midpoint is within tol/2 of the true inverse, tol = ``_REARRANGE_TOL``
-    bounding the interpolant's sup-norm error for the convex/concave
-    inverse of a monotone quadratic.
-    Each depth inverts all its intervals at once, on coefficient columns
-    gathered once, after ending those under the width floor; a halved
-    interval's halves are written side by side, keeping piece and x order.
-    Returns the piece, x and y of each final interval's right end, so sorted.
-    """
-    d0, d1, d2 = (np.ascontiguousarray(col) for col in c.T)
-    found, j, scaled = [], np.arange(len(c)), e.any()  # once per call: a test at each depth costs time
-    x0, y0, x1, y1 = pb, yb, pa, ya
-    for _ in range(64):
-        # the 8e-15 width floor ends intervals too narrow in x to hold a useful
-        # breakpoint, where a steep inverse could fail the chord test to depth 64
-        narrow = x1 - x0 <= 8e-15
-        if narrow.any():
-            found.append((j[narrow], x1[narrow], y1[narrow]))
-            j, x0, y0, x1, y1 = (a[~narrow] for a in (j, x0, y0, x1, y1))
-        xm = 0.5 * (x0 + x1)
-        ym = _invert(d0[j], d1[j], d2[j], s[j], ya[j], yb[j], np.ldexp(xm, -e[j]) if scaled else xm)
-        near = np.abs(ym - 0.5 * (y0 + y1)) <= 0.5 * _REARRANGE_TOL
-        found.append((j[near], x1[near], y1[near]))
-        far = ~near
-        if not far.any():
-            break
-        j, xm, ym = np.repeat(j[far], 2), xm[far], ym[far]
-        halves = np.empty((4, 2 * len(xm)))
-        halves[:, 0::2] = x0[far], y0[far], xm, ym
-        halves[:, 1::2] = xm, ym, x1[far], y1[far]
-        x0, y0, x1, y1 = halves
-    else:
-        found.append((j, x1, y1))  # depth 64 ends every interval
-    j, x, y = (np.concatenate(a) for a in zip(*found))
-    order = np.lexsort((x, j))
-    return j[order], x[order], y[order]
+    return LevelMeasure._scaled(b, c, e, s, float(total))
 
 
 def rearrange(level):
     """Descending rearrangement: the generalized inverse of a level measure.
 
     Returns the nonincreasing function f~ on [0, 1] with
-    measure{f~ >= a} = P(a) for every level a.  Linear pieces invert
-    exactly; quadratic pieces are inverted by the closed-form root of the
-    anchored quadratic at adaptively inserted breakpoints until the
-    interpolant is within 1e-9 sup-norm.
-    The insertion is breadth-first over all quadratic pieces at once and
-    yields the same points as refining each piece depth-first.  Plateaus
-    of P (possible only at its extreme values for measures built here)
-    become the single jump allowed at the domain ends; jumps of P become
+    measure{f~ >= a} = P(a) for every level a, as chords through points
+    (P(y), y) of each piece, from (P(yb), yb) to (P(ya+), ya).  A piece
+    that is linear or does not fall keeps just those two.  A falling
+    quadratic row (d0, d1, d2) in u in [-W, 0] (see ``LevelMeasure``) gets
+    n - 1 more, uniform in tau = sqrt(-slope), as de Boor's equidistribution
+    of |f~''|^(1/2) places them: tau0 = sqrt(-d1) at the top, taua =
+    sqrt(2 d2 W - d1) at the bottom, h = (taua - tau0) / n and
+    u_i = -W (i/n) (2 tau0 + i h) / (tau0 + taua), with no cancellation and
+    no division by d2.  The tangent parallel to a chord touches at its
+    midpoint in u, so the chord leaves the inverse by at most
+    h^2 / (4 |d2|) in u; n is the least count keeping that within tol/2 in
+    y, tol = ``_REARRANGE_TOL``, so n <= sqrt(height / tol) + 1.  Points
+    within 1e-12 of x = 1 snap there, so a chord ending at x = 1 may stray
+    further.  Plateaus of P (only at its extreme values for measures built
+    here) become the jump allowed at the domain ends; jumps of P become
     plateaus of f~.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
-    b, c, e = level._b, level._c, level._e
-    K = len(c)
-    ya, yb = b[:-1], b[1:]
-    pa, pb = _fold(_eval(c, np.ldexp(ya - yb, -level._s)), e), _fold(c[:, 0], e)
-    quad = (pa > pb) & (c[:, 2] != 0.0)
-    lin = np.flatnonzero(~quad)
-    q = np.flatnonzero(quad)
-    qj, qx, qy = _quad_inverse_points(c[q], e[q], level._s[q], ya[q], yb[q], pa[q], pb[q])
+    b, c, e, s = level._b, level._c, level._e, level._s
+    ya, yb, W = b[:-1], b[1:], np.ldexp(b[1:] - b[:-1], -s)
+    pa, pb = _fold(_eval(c, -W), e), _fold(c[:, 0], e)
+    n = np.ones(len(c), dtype=np.intp)
+    q = np.flatnonzero((pa > pb) & (c[:, 2] != 0.0))
+    if q.size:
+        d1, d2, w = c[q, 1], c[q, 2], W[q]
+        t0, ta = np.sqrt(np.maximum(-d1, 0.0)), np.sqrt(np.maximum(2.0 * d2 * w - d1, 0.0))
+        count = w * np.sqrt(np.ldexp(np.abs(d2), s[q]) / (0.5 * _REARRANGE_TOL)) / (t0 + ta)
+        n[q] = np.maximum(1.0, np.ceil(count))
 
-    # Piece k, from the top level down, contributes (pb, yb) and then
-    # (pa, ya) when linear or its refinement points when quadratic.
-    # Plateau pieces (pa == pb) collapse to a single x and encode a jump
-    # of f~ there.  A leading (0, 1) carries the mass of P(1) > 0.
-    size = np.full(K, 2)
-    size[q] = 1 + np.bincount(qj, minlength=len(q))
+    # Piece k, from the top level down, contributes (pb, yb), its n - 1 interior points and (pa, ya);
+    # a plateau piece (pa == pb) is a jump of f~.  A leading (0, 1) carries the mass of P(1) > 0.
     head = int(pb[-1] > _SNAP)
-    start = head + np.cumsum(size[::-1])[::-1] - size
-    n = head + int(size.sum()) + 1
-    x, y = np.empty(n), np.empty(n)
+    start = head + np.cumsum(n[::-1] + 1)[::-1] - n - 1
+    size = head + int(n.sum()) + len(n) + 1
+    x, y = np.empty(size), np.empty(size)
     x[0], y[0] = 0.0, 1.0
     x[-1], y[-1] = level.total, 0.0
     x[start], y[start] = pb, yb
-    x[start[lin] + 1], y[start[lin] + 1] = pa[lin], ya[lin]
-    at = start[q[qj]] + 1 + np.arange(len(qj)) - np.searchsorted(qj, qj)
-    x[at], y[at] = qx, qy
+    x[start + n], y[start + n] = pa, ya
+    m = n[q] - 1
+    if m.any():
+        k = np.repeat(np.arange(len(q)), m)  # interior point i = 1 .. n - 1 of piece j = q[k]
+        j, i, h = q[k], 1 + np.arange(len(k)) - np.repeat(np.cumsum(m) - m, m), (ta - t0) / n[q]
+        u = -W[j] * (i / n[j]) * (2.0 * t0[k] + i * h[k]) / (t0[k] + ta[k])
+        x[start[j] + i], y[start[j] + i] = _fold(_eval(c[j], u), e[j]), yb[j] + np.ldexp(u, s[j])
 
     # Pin the first point, P(1) <= _SNAP when there is no head, to 0 and
     # snap x values near the right end (total is 1 within tolerance),
@@ -442,7 +397,7 @@ def rearrange(level):
     x = np.maximum.accumulate(x)
     same = x[1:] == x[:-1]
     at_one = x == 1.0
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(size, dtype=bool)
     keep[:-1] &= ~same | at_one[:-1]
     keep[1:] &= ~same | ~at_one[1:]
     return PiecewisePossibility(np.column_stack((x[keep], y[keep])))
@@ -567,7 +522,7 @@ def product_level(p1, p2):
                 "degree overflow: the product of these level measures exceeds degree 2"
             )
         coeffs = np.column_stack((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
-    return LevelMeasure._scaled(bounds, *_normalized(coeffs, ea + eb), p1.total * p2.total)
+    return LevelMeasure._scaled(bounds, *_normalized(coeffs, ea + eb), s, p1.total * p2.total)
 
 
 def _pointwise(op, f1, f2):

@@ -192,7 +192,7 @@ def level_measure_by_active_set(f):
             exps.append(e)
         active.difference_update(ends.get(y_top, ()))
     total = mass_at_or_above(0.0)
-    return LevelMeasure._scaled(b, np.array(coeffs), np.array(exps), total)
+    return LevelMeasure._scaled(b, np.array(coeffs), np.array(exps), np.array(units), total)
 
 
 def exact_row(level, k):
@@ -204,81 +204,56 @@ def exact_row(level, k):
 def invert_by_bisection(c, ya, yb, x):
     """Solve P(y) = x on [ya, yb] for nonincreasing anchored pieces, elementwise.
 
-    ``c`` holds one (d0, d1, d2) row per element.  Each element takes the
-    steps of an 80-step bisection; the loop ends early once no bracket
-    moves, because that state is a fixed point.
+    ``c`` holds one (d0, d1, d2) row per element, in the offset t = y - yb.
+    Each element's bracket [lo, lo + w] in t starts as the whole piece and
+    is halved 56 times, to within 2^-56 of the piece's height.
     """
-    lo, hi = np.array(ya, dtype=float), np.array(yb, dtype=float)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        t = mid - yb
-        above = c[:, 0] + t * (c[:, 1] + t * c[:, 2]) > x
-        if not np.where(above, mid != lo, mid != hi).any():
-            break
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    d0, d1, d2 = (np.ascontiguousarray(col) for col in c.T)
+    lo, w = ya - yb, yb - ya
+    t, p = np.empty_like(lo), np.empty_like(lo)
+    for _ in range(56):
+        w *= 0.5
+        np.add(lo, w, out=t)
+        np.multiply(t, d2, out=p)
+        p += d1
+        p *= t
+        p += d0
+        np.copyto(lo, t, where=p > x)  # P(t) > x: the root lies above t
+    return yb + (lo + 0.5 * w)
 
 
-def _invert_quad_piece(coeffs, exponent, ya, yb, x):
-    """Solve P(y) = x on [ya, yb] by the closed-form root, in scalar code.
-
-    The piece is stored as ``LevelMeasure`` stores it: 2^exponent times the
-    row ``coeffs`` in the offset u = (y - yb) / 2^s, 2^s the power of two
-    with yb - ya in [2^(s-1), 2^s).  The root is taken in those units.
-    """
-    d0, d1, d2 = coeffs
-    e = math.ldexp(x, -exponent) - d0
-    u = -2.0 * e / (-d1 + math.sqrt(max(d1 * d1 + 4.0 * d2 * e, 0.0)))
-    return min(max(yb + math.ldexp(u, math.frexp(yb - ya)[1]), ya), yb)
-
-
-def _quad_inverse_points(coeffs, exponent, ya, yb, pa, pb, tol):
-    """Sampled inverse graph of a quadratic piece, from (pb, yb) to (pa, ya)."""
-    out = [(pb, yb)]
-
-    def refine(x0, y0, x1, y1, depth):
-        if x1 - x0 <= 8e-15 or depth >= 64:
-            out.append((x1, y1))
-            return
-        xm = 0.5 * (x0 + x1)
-        ym = _invert_quad_piece(coeffs, exponent, ya, yb, xm)
-        if abs(ym - 0.5 * (y0 + y1)) <= 0.5 * tol:
-            out.append((x1, y1))
-            return
-        refine(x0, y0, xm, ym, depth + 1)
-        refine(xm, ym, x1, y1, depth + 1)
-
-    refine(pb, yb, pa, ya, 0)
-    return out
-
-
-def rearrange_by_refinement(level, tol=1e-9):
-    """Descending rearrangement by a per-piece loop and depth-first refinement.
+def rearrange_by_pieces(level, tol=1e-9):
+    """Descending rearrangement by a per-piece loop in scalar ``math``.
 
     A scalar reference for ``possinfo.rearrange``, which must return
-    exactly the same breakpoints: every quadratic piece is refined
-    recursively, each inserted point inverted on its own by the same
-    closed-form root, and the snap, monotone and duplicate passes run
-    point by point.
+    exactly the same breakpoints: each piece, from the top level down, is
+    walked on its own, its interior points placed one at a time by the
+    same closed form in the same order of operations, and the snap,
+    monotone and duplicate passes run point by point.
     """
     if abs(level.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"rearrangement requires total measure 1, got {level.total!r}")
     b = level.bounds
-    coeffs, exps = level._c.tolist(), level._e.tolist()  # the stored rows and their exponents
+    coeffs, exps, units = level._c.tolist(), level._e.tolist(), level._s.tolist()  # as stored
     K = len(coeffs)
     raw = []
-    top_val = level.piece_value(K - 1, b[K])
-    if top_val > 1e-12:
+    if level.piece_value(K - 1, b[K]) > 1e-12:
         raw.append((0.0, 1.0))
     for k in range(K - 1, -1, -1):
+        (d0, d1, d2), e, s = coeffs[k], exps[k], units[k]
         ya, yb = b[k], b[k + 1]
-        pa = level.piece_value(k, ya)
-        pb = level.piece_value(k, yb)
-        if pa > pb and coeffs[k][2] != 0.0:
-            raw.extend(_quad_inverse_points(coeffs[k], exps[k], ya, yb, pa, pb, tol))
-        else:
-            raw.append((pb, yb))
-            raw.append((pa, ya))
+        pa, pb = level.piece_value(k, ya), level.piece_value(k, yb)
+        raw.append((pb, yb))
+        if pa > pb and d2 != 0.0:
+            # points uniform in tau = sqrt(-P'), from the top of the piece (u = 0) to its bottom (u = -W)
+            W = math.ldexp(yb - ya, -s)
+            t0, ta = math.sqrt(max(-d1, 0.0)), math.sqrt(max(2.0 * d2 * W - d1, 0.0))
+            n = max(1, math.ceil(W * math.sqrt(math.ldexp(abs(d2), s) / (0.5 * tol)) / (t0 + ta)))
+            h = (ta - t0) / n
+            for i in range(1, n):
+                u = -W * (i / n) * (2.0 * t0 + i * h) / (t0 + ta)
+                raw.append((math.ldexp(d0 + u * (d1 + u * d2), e), yb + math.ldexp(u, s)))
+        raw.append((pa, ya))
     raw.append((level.total, 0.0))
 
     pts = []

@@ -40,7 +40,7 @@ from conftest import (
     invert_by_bisection,
     level_measure_by_active_set,
     random_piecewise,
-    rearrange_by_refinement,
+    rearrange_by_pieces,
     segment_level_set_measure,
 )
 
@@ -98,6 +98,35 @@ def curve_levels(n_breakpoints):
     curves = [lambda x, k=k: x**k for k in range(1, 9)]
     curves += [lambda x, p=p: 0.5 + 0.5 * np.cos(2 * np.pi * p * x) for p in (2, 3, 4)]
     return [level_measure(sample_function(curve, n_breakpoints)) for curve in curves]
+
+
+def product_levels():
+    """Squares of the curve_levels(1000) and of the benchmark's factors: the ramp and 1-20-period cosines.
+
+    The ramp's square is one piece of 31 623 chords; 2-4 periods are among curve_levels.
+    """
+    cosines = [level_measure(cosine(p, 1000)) for p in (1, *range(5, 21))]
+    return [product_level(L, L) for L in [*curve_levels(1000), level_measure(RAMP_DOWN), *cosines]]
+
+
+def chord_error(level):
+    """Largest distance of rearrange(level)'s chords from the inverse of the piece they lie in.
+
+    The inverse is found by bisection on the stored rows (in the offset t)
+    at five points inside each chord whose ends lie in one piece and fall.
+    Chords that end at x = 1 are left out: points within 1e-12 of the
+    right end snap there.
+    """
+    ft = rearrange(level)
+    b, c = np.array(level.bounds), np.array(level.coeffs)
+    x0, x1, y0, y1 = ft.xs[:-1], ft.xs[1:], ft.vs[:-1], ft.vs[1:]
+    k = np.searchsorted(b, y0) - 1
+    inside = np.flatnonzero((y1 < y0) & (k >= 0) & (y1 >= b[np.maximum(k, 0)]) & (x1 < 1.0))
+    frac = np.tile(np.arange(1, 6) / 6, inside.size)
+    j, k = np.repeat(inside, 5), np.repeat(k[inside], 5)
+    x = x0[j] + frac * (x1[j] - x0[j])
+    chord = y0[j] + frac * (y1[j] - y0[j])
+    return float(np.abs(chord - invert_by_bisection(c[k], b[k], b[k + 1], x)).max(initial=0.0))
 
 
 class TestConstruction:
@@ -299,42 +328,38 @@ class TestRearrange:
         assert rearrange(level_measure(UNIFORM)) == UNIFORM
 
     def test_identical_to_refinement_oracle(self, rng):
-        levels = [level_measure(random_piecewise(rng)) for _ in range(100)]
-        levels += [product_level(L, L) for L in curve_levels(1000)]
-        # the benchmark's products: the ramp's (one piece, 48 depths deep)
-        # and 1-20-period cosines' (2-4 periods are among curve_levels)
-        cosines = [level_measure(cosine(p, 1000)) for p in (1, *range(5, 21))]
-        levels += [product_level(L, L) for L in [level_measure(RAMP_DOWN), *cosines]]
+        levels = [level_measure(random_piecewise(rng)) for _ in range(100)] + product_levels()
         levels.append(level_measure(TENT))
         levels.append(level_measure(sample_function(lambda x: 4 * (x - 0.5) ** 2, 1001)))
         for level in levels:
-            assert rearrange(level) == rearrange_by_refinement(level)
+            assert rearrange(level) == rearrange_by_pieces(level)
 
     def test_requires_unit_total(self):
         P = LevelMeasure((0.0, 1.0), ((0.5, -0.5, 0.0),), total=0.5)
         with pytest.raises(ValueError, match="total"):
             rearrange(P)
 
-    def test_closed_form_inverse_no_worse_than_bisection(self):
-        # five points inside every quadratic piece of the product levels
-        # of test_identical_to_refinement_oracle
-        for L in curve_levels(1000):
-            PP = product_level(L, L)
-            b, c = np.array(PP.bounds), np.array(PP.coeffs)
-            ya, yb = b[:-1], b[1:]
-            pa = c[:, 0] + (ya - yb) * (c[:, 1] + (ya - yb) * c[:, 2])
-            q = np.flatnonzero((pa > c[:, 0]) & (c[:, 2] != 0.0))
-            assert q.size
-            k = np.repeat(q, 5)
-            x = c[k, 0] + (pa[k] - c[k, 0]) * np.tile(np.arange(1, 6) / 6, q.size)
-            closed = possinfo.continuous._invert(*c[k].T, 0, ya[k], yb[k], x)  # rows in t: unit 2^0
-            bisected = invert_by_bisection(c[k], ya[k], yb[k], x)
+    def test_chords_within_tolerance_of_the_bisected_inverse(self):
+        # placing points by bisection in x, down to an 8e-15 width floor, left the
+        # inverse by up to 1.7e-7
+        for level in product_levels():
+            assert chord_error(level) <= possinfo.continuous._REARRANGE_TOL
 
-            def residual(y):
-                t = y - yb[k]
-                return np.abs(c[k, 0] + t * (c[k, 1] + t * c[k, 2]) - x)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "row, points",
+        [
+            ((1.0, 0.5, 0.1), ((0.0, 1.0), (1.0, 1.0))),  # rises
+            ((0.5, -0.25, -0.25), ((0.0, 1.0), (0.5, 0.0), (1.0, 0.0))),  # rises, then falls back to pa = pb
+        ],
+    )
+    def test_rows_that_do_not_fall_keep_their_ends(self, row, points):
+        assert rearrange(LevelMeasure((0, 1), (row,), 1)).points == points
 
-            assert np.all(residual(closed) <= residual(bisected) + 4 * np.spacing(x))
+    @pytest.mark.filterwarnings("error")
+    def test_one_minus_y_squared_within_tolerance(self):
+        P = LevelMeasure((0, 1), ((0.0, -2.0, -1.0),), 1)  # P(y) = 1 - y^2
+        assert chord_error(P) <= possinfo.continuous._REARRANGE_TOL
 
     def test_monotone_nonincreasing(self, rng):
         for _ in range(100):
@@ -495,7 +520,7 @@ class TestAdversarialInputs:
     def test_stages_match_scalar_oracles(self, name):
         f = PiecewisePossibility(ADVERSARIAL.get(name, NEAR_TIED))
         P = assert_matches_active_set(f)
-        assert rearrange(P) == rearrange_by_refinement(P)
+        assert rearrange(P) == rearrange_by_pieces(P)
 
     @pytest.mark.parametrize("name", sorted(set(ADVERSARIAL) - {"subnormal"}))
     def test_dual_paths_agree(self, name):
@@ -630,7 +655,7 @@ class TestSubnormalWidths:
             assert other == L and hash(other) == hash(L)
             assert np.array_equal(other._e, L._e) and np.array_equal(other._c, L._c)
             assert info_from_level(other) == info_from_level(L)
-        assert L != LevelMeasure._scaled(L._b, L._c, L._e + 1, L.total)
+        assert L != LevelMeasure._scaled(L._b, L._c, L._e + 1, L._s, L.total)
 
     def test_product_whose_top_piece_squares_below_the_normal_range(self):
         # pair 2212 of the seed-1 sweep below: the product's top piece was
@@ -769,7 +794,7 @@ class TestSubnormalWidths:
                     assert value == pytest.approx(parts, rel=1e-12, abs=1e-15)
                 ft = rearrange(PP)
                 if len(ft.points) < 1000:
-                    assert ft == rearrange_by_refinement(PP)
+                    assert ft == rearrange_by_pieces(PP)
         assert (steep, finite, tight) == (678, 6217, 309)
 
     @pytest.mark.filterwarnings("error")
