@@ -10,8 +10,9 @@ For f(x) = 1 - x the sample values are n, n-1, ..., 1 over n, so
 U = ln(n!) / n exactly and Stirling's formula gives ln n - U -> 1.
 
 ``approx_info`` and ``convergence_series`` sample f to a float array and
-take U straight from it, skipping the sort when the samples are already in
-order; ``discretize`` is the labelled view of the same samples, as a
+take U straight from it; one comparison pass finds the samples' order,
+which spares samples in order both the range scan and U's sort.
+``discretize`` is the labelled view of the same samples, as a
 ``DiscreteDistribution`` on labels x1..xn, with bit for bit the same U.
 """
 
@@ -63,7 +64,12 @@ class ConvergenceSeries:
 
 
 def _sample(f, n, grid):
-    """The n grid samples of f as a float array, each checked to lie in [0, 1]."""
+    """The n grid samples of f as a float array, each checked to lie in [0, 1],
+    and their order: 1 ascending, -1 descending, 0 neither (NaN never is).
+
+    One comparison pass decides both: the ends pick the order to test, samples
+    in that order hold their extremes at the ends, and the rest get a full scan.
+    """
     n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one sample")
@@ -75,10 +81,16 @@ def _sample(f, n, grid):
     values = np.asarray(f(xs), dtype=float)
     if values.shape != xs.shape:
         raise ValueError(f"f must return {n} values, one per grid point, got shape {values.shape}")
-    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+    del xs  # freed before the order pass allocates its mask
+    if values[0] <= values[-1]:
+        order = 1 if (values[:-1] <= values[1:]).all() else 0
+    else:
+        order = -1 if (values[:-1] >= values[1:]).all() else 0
+    lo, hi = sorted((values[0], values[-1])) if order else (values.min(), values.max())
+    if not (lo >= 0.0 and hi <= 1.0):  # NaN fails both
         i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
         raise ValueError(f"value at index {i} outside [0, 1]: {float(values[i])!r}")
-    return values
+    return values, order
 
 
 def discretize(f, n, grid="left"):
@@ -92,22 +104,21 @@ def discretize(f, n, grid="left"):
     labelled view of the samples that ``approx_info`` and
     ``convergence_series`` take U from as a plain array.
     """
-    values = _sample(f, n, grid)
+    values, _ = _sample(f, n, grid)
     labels = tuple(f"x{i}" for i in range(1, len(values) + 1))
     return DiscreteDistribution(labels, values.tolist())
 
 
-def _u_of_sample(values):
-    """``_u_of_values(values)`` bit for bit, sorting only samples out of order.
+def _u_of_sample(values, order):
+    """``_u_of_values(values)`` bit for bit, given the order ``_sample`` found.
 
-    The endpoints pick the one order worth a comparison pass.  The ascending
-    array is C-contiguous like ``np.sort``'s output, since the rounding of
-    U's dot product depends on the memory layout.
+    Only samples out of order are sorted.  The ascending array is
+    C-contiguous like ``np.sort``'s output, since the rounding of U's dot
+    product depends on the memory layout.
     """
-    if values[0] <= values[-1]:
-        if (values[:-1] <= values[1:]).all():
-            return float(_u_of_ascending(np.ascontiguousarray(values)))
-    elif (values[:-1] >= values[1:]).all():
+    if order > 0:
+        return float(_u_of_ascending(np.ascontiguousarray(values)))
+    if order < 0:
         return float(_u_of_ascending(values[::-1].copy()))
     return _u_of_values(values)
 
@@ -124,8 +135,8 @@ def approx_info(f, n, grid="left"):
     of order; it equals ``u_uncertainty(discretize(f, n, grid))`` bit for bit.
     """
     _require_normalized(f)
-    values = _sample(f, n, grid)  # before math.log, so a bad n gets the sampler's error
-    return math.log(n) - _u_of_sample(values)
+    u = _u_of_sample(*_sample(f, n, grid))  # before math.log, so a bad n gets the sampler's error
+    return math.log(n) - u
 
 
 def convergence_series(f, n_list, grid="left"):
@@ -142,6 +153,6 @@ def convergence_series(f, n_list, grid="left"):
         raise ValueError("n_list must be strictly increasing")
     entries = []
     for n in n_list:
-        u = _u_of_sample(_sample(f, n, grid))
+        u = _u_of_sample(*_sample(f, n, grid))
         entries.append(ConvergenceEntry(n=n, u_value=u, approx_info=math.log(n) - u))
     return ConvergenceSeries(entries)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,14 +208,15 @@ class TestArraySampling:
             np.round(rng.random(997), 2),
         ]
         for v in arrays:
-            assert _u_of_sample(v).hex() == _u_of_values(v).hex()
+            assert _u_of_sample(*_sample(_Returns(lambda xs: v), v.size, "left")).hex() == (
+                _u_of_values(v).hex())
         # duck-typed f returning a negative-stride ascending view and a stride-0 view
         views = [lambda xs: (1.0 - xs)[::-1], lambda xs: np.broadcast_to(1.0, xs.shape)]
         for make in views:
             f = _Returns(make)
             for n in (1, 2, 1000):
-                v = _sample(f, n, "left")
-                assert _u_of_sample(v).hex() == _u_of_values(v).hex()
+                v, order = _sample(f, n, "left")
+                assert _u_of_sample(v, order).hex() == _u_of_values(v).hex()
                 assert approx_info(f, n) == math.log(n) - u_uncertainty(discretize(f, n))
 
     def test_sort_skipped_for_samples_in_order(self, monkeypatch):
@@ -314,6 +316,115 @@ class TestArraySampling:
 
         with pytest.raises(ValueError, match="one per grid point"):
             approx_info(Scalar(), 3)
+
+
+def _first_outside(values):
+    """The range error for these samples, found by a plain scan (None when all lie in [0, 1])."""
+    for i, v in enumerate(values):
+        if not 0.0 <= v <= 1.0:
+            return f"value at index {i} outside [0, 1]: {float(v)!r}"
+    return None
+
+
+class TestEndsOnlyRangeCheck:
+    """Samples in order are range-checked at their two ends; every path still
+    raises the full scan's error, with its first offending index."""
+
+    REJECTED = [
+        [-0.5, 0.25, 1.0],  # ascending, first value below 0
+        [0.0, 0.5, 1.5],  # ascending, last value above 1
+        [0.5, 1.0, 1.0 + 2.0**-52, 2.0],  # ascending, the first of two above 1 is named
+        [1.5, 1.0, 0.0],  # descending, first value above 1
+        [1.0, 0.5, -5e-324],  # descending, last value below 0
+        [1.0, 0.0, -1.0, -2.0],  # descending, the first of two below 0 is named
+        [2.0, 2.0],  # constant above 1
+        [math.nan, 0.5, 1.0],  # NaN at the first end
+        [0.0, 0.5, math.nan],  # NaN at the last end
+        [1.0, math.nan, 0.0],  # NaN inside
+        [0.0, math.nan, 1.5],  # NaN inside, before a value above 1
+        [math.nan],  # n = 1
+        [1.5],
+        [-0.25],
+    ]
+    ACCEPTED = [
+        [-0.0, 0.5, 1.0],
+        [1.0, 0.5, -0.0],
+        [-0.0, 1.0, 0.0],
+        [0.0, -0.0],
+        [-0.0, -0.0],
+        [-0.0],
+        [1.0],
+    ]
+
+    @staticmethod
+    def _paths(f, n, grid):
+        return (
+            lambda: approx_info(f, n, grid),
+            lambda: convergence_series(f, (n,), grid),
+            lambda: discretize(f, n, grid),
+        )
+
+    def _assert_rejected(self, f, n, grid, message):
+        for call in self._paths(f, n, grid):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_reference_scan_names_the_first_index(self):
+        assert _first_outside([0.5, 1.0, 1.0 + 2.0**-52, 2.0]) == (
+            "value at index 2 outside [0, 1]: 1.0000000000000002")
+        assert _first_outside([1.0, 0.0, -1.0, -2.0]) == "value at index 2 outside [0, 1]: -1.0"
+        assert _first_outside([math.nan]) == "value at index 0 outside [0, 1]: nan"
+
+    @pytest.mark.parametrize("values", REJECTED)
+    def test_rejected_with_the_first_index_on_every_path(self, values):
+        f = _Returns(lambda xs: np.array(values))
+        message = _first_outside(values)
+        assert message is not None
+        for grid in ("left", "right"):
+            self._assert_rejected(f, len(values), grid, message)
+
+    @pytest.mark.parametrize("values", ACCEPTED)
+    def test_signed_zero_ends_accepted_on_every_path(self, values):
+        f = _Returns(lambda xs: np.array(values))
+        n = len(values)
+        for grid in ("left", "right"):
+            d = discretize(f, n, grid)
+            assert d.as_array().tobytes() == np.array(values).tobytes()
+            u = u_uncertainty(d)
+            assert approx_info(f, n, grid) == math.log(n) - u
+            assert convergence_series(f, (n,), grid).entries[0].u_value == u
+
+    def test_f_returning_its_own_argument(self):
+        own = _Returns(lambda xs: xs)
+        for grid in ("left", "right"):
+            for n in (1, 2, 1000):
+                u = u_uncertainty(discretize(own, n, grid))
+                assert approx_info(own, n, grid) == math.log(n) - u
+        # the grid shifted in place and returned: ascending, leaving [0, 1] at one end
+        for shift in (np.add, np.subtract):
+            f = _Returns(lambda xs: shift(xs, 0.5, out=xs))
+            for grid, start in (("left", 0.0), ("right", 1.0)):
+                expected = _first_outside(shift(np.arange(start, 10.0 + start) / 10, 0.5))
+                self._assert_rejected(f, 10, grid, expected)
+
+
+class TestMemory:
+    def test_peak_stays_near_two_sample_arrays(self):
+        # the grid and the samples, or the samples and their sorted or
+        # reversed copy, are the only n-sized float arrays alive at once
+        n = 10**6
+        cosine = sample_function(lambda x: 0.5 * (1.0 + np.cos(14.0 * np.pi * x)), 2001)
+        assert _sample(cosine, 1000, "left")[1] == 0  # out of order: U sorts it
+        for f in (RAMP_DOWN, cosine):
+            approx_info(f, n)  # warm up: U's weight table for n is built once
+            tracemalloc.start()
+            try:
+                approx_info(f, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.25 * 8 * n
 
 
 class TestPinnedBits:
