@@ -62,7 +62,10 @@ class PiecewisePossibility:
     __slots__ = ("_xs", "_vs", "is_normalized", "_narrow")
 
     def __init__(self, points):
-        pts = _float_array(points)
+        if not isinstance(points, (np.ndarray, list, tuple)):
+            points = list(points)
+        # the transposed copy below is the one this value owns, so an array is not copied first
+        pts = np.asarray(points, dtype=float)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -72,15 +75,15 @@ class PiecewisePossibility:
             raise ValueError(
                 f"domain must be exactly [0, 1], got [{float(xs[0])}, {float(xs[-1])}]"
             )
-        if not (xs[1:] > xs[:-1]).all():
+        if np.count_nonzero(xs[1:] > xs[:-1]) < len(xs) - 1:
             raise ValueError("x-coordinates must be strictly increasing")
-        inside = (vs >= 0.0) & (vs <= 1.0)
-        if not inside.all():
-            i = int(np.argmin(inside))
+        top = np.maximum.reduce(vs)
+        if not (np.minimum.reduce(vs) >= 0.0 and top <= 1.0):  # a NaN propagates into both
+            i = int(np.argmin((vs >= 0.0) & (vs <= 1.0)))
             raise ValueError(f"value at breakpoint {i} outside [0, 1]: {float(vs[i])!r}")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_vs", vs)
-        object.__setattr__(self, "is_normalized", bool(vs.max() >= 1.0 - NORMALIZATION_TOL))
+        object.__setattr__(self, "is_normalized", bool(top >= 1.0 - NORMALIZATION_TOL))
         # np.interp's slope |dv| / dx can overflow only if dx <= 2**-1024, below 2**-971
         object.__setattr__(self, "_narrow", bool(xs[1] < 2.0**-971))
 

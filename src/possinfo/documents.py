@@ -3,11 +3,15 @@
 Documents are JSON objects; numbers serialize with 17 significant digits
 so that every binary64 value round-trips bit-exactly.  Output is
 locale-independent: '.' decimal separator, '\\n' line endings, no
-timestamps.
+timestamps.  [x, v] point arrays are read into one float array and written in
+one format pass, with the values, bytes and messages of the per-pair paths.
 """
 
 import json
 import math
+from itertools import chain
+
+import numpy as np
 
 from .approximation import ConvergenceSeries
 from .continuous import PiecewisePossibility
@@ -16,7 +20,7 @@ from .errors import SchemaError
 from .inference import InferenceProblem, LinearConstraint, MaxU, MinDistance
 from .measures import Tau
 
-_JSON_NUMBERS = (int, float)
+_JSON_NUMBERS = {int, float}  # the exact types json.loads gives numbers (bool is not one here)
 
 
 def _fmt_number(x):
@@ -30,20 +34,25 @@ def _fmt_number(x):
     return format(x, ".17g")
 
 
-def _pair_rows(pairs, sep):
-    """``x<sep>v`` per (x, v) pair by ``_fmt_number``'s rules; the first bad number raises."""
-    rows = []
-    for x, v in pairs:
-        if type(x) is float and type(v) is float and math.isfinite(x) and math.isfinite(v):
-            rows.append(f"{x:.17g}{sep}{v:.17g}")
-        else:
-            rows.append(f"{_fmt_number(x)}{sep}{_fmt_number(v)}")
-    return rows
+def _pairs_text(flat, row, sep):
+    """``row % (x, v)`` per pair of finite floats ``[x0, v0, x1, ...]`` in one pass, ``sep`` between."""
+    # '%.17g' writes the bytes format(x, ".17g") does
+    return sep.join([row] * (len(flat) // 2)) % tuple(flat)
 
 
-def _points_json(pairs):
-    """The JSON array ``[[x, v], ...]`` of nonempty (x, v) pairs, as ``_emit_json`` writes it."""
-    return f"[[{'], ['.join(_pair_rows(pairs, ', '))}]]"
+def _flat_pairs(pairs, pair_types, number_types):
+    """``[x0, v0, x1, ...]``, or None unless each pair and number has one of the exact types given."""
+    if set(map(type, pairs)) <= pair_types and set(map(len, pairs)) <= {2}:
+        flat = list(chain.from_iterable(pairs))
+        if set(map(type, flat)) <= number_types:
+            return flat
+    return None
+
+
+def _points_json(xs, vs):
+    """The JSON array ``[[x, v], ...]`` of a curve's breakpoints, as ``_emit_json`` writes it."""
+    flat = np.column_stack((xs, vs)).ravel().tolist()
+    return f"[{_pairs_text(flat, '[%.17g, %.17g]', ', ')}]"
 
 
 def _emit_json(value):
@@ -101,15 +110,18 @@ def _field(doc, name, where="document"):
     return doc[name]
 
 
+def _raise_first_non_number(items, where):
+    for i, v in enumerate(items):
+        if type(v) not in _JSON_NUMBERS:
+            raise SchemaError(f"{where}[{i}] must be a number, got {v!r}")
+
+
 def _number_list(raw, where):
     if not isinstance(raw, list):
         raise SchemaError(f"{where} must be an array")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{where}[{i}] must be a number, got {v!r}")
-        out.append(float(v))
-    return out
+    if not set(map(type, raw)) <= _JSON_NUMBERS:
+        _raise_first_non_number(raw, where)
+    return list(map(float, raw))
 
 
 def _labels(doc):
@@ -120,22 +132,17 @@ def _labels(doc):
 
 
 def _point_list(raw, where):
-    """Decoded JSON ``[[x, v], ...]`` as float pairs; the first malformed pair raises."""
+    """Decoded JSON ``[[x, v], ...]`` as an (n, 2) float array; the first malformed pair raises."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where} must be an array of [x, v] pairs")
-    out = []
-    for pair in raw:
-        # the exact types json.loads gives take the short path (bool is not int here)
-        if type(pair) is list and len(pair) == 2:
-            x, v = pair
-            if type(x) in _JSON_NUMBERS and type(v) in _JSON_NUMBERS:
-                out.append((float(x), float(v)))
-                continue
-        at = f"{where}[{len(out)}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{at} must be a two-element array")
-        out.append(tuple(_number_list(pair, at)))
-    return out
+    flat = _flat_pairs(raw, {list}, _JSON_NUMBERS)
+    if flat is not None:
+        return np.array(flat, dtype=float).reshape(-1, 2)
+    # a failed pass has a first bad pair, which this scan names
+    for i, pair in enumerate(raw):
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaError(f"{where}[{i}] must be a two-element array")
+        _raise_first_non_number(pair, f"{where}[{i}]")
 
 
 def parse_distribution(text):
@@ -193,8 +200,7 @@ def parse_problem(text):
         objective = MaxU()
     elif obj_type == "min_distance":
         metric = raw_obj.get("metric", "G")
-        prior_doc = _field(raw_obj, "prior", "'objective'")
-        prior = _distribution(prior_doc)
+        prior = _distribution(_field(raw_obj, "prior", "'objective'"))
         if not isinstance(prior, DiscreteDistribution):
             raise SchemaError("'objective.prior' must be a discrete distribution")
         objective = _construct(MinDistance, prior, metric, where="'objective': ")
@@ -203,9 +209,7 @@ def parse_problem(text):
     require_normalized = doc.get("require_normalized", True)
     if not isinstance(require_normalized, bool):
         raise SchemaError("'require_normalized' must be a boolean")
-    return _construct(
-        InferenceProblem, labels, tuple(constraints), objective, require_normalized
-    )
+    return _construct(InferenceProblem, labels, tuple(constraints), objective, require_normalized)
 
 
 def serialize_distribution(obj, metadata=None):
@@ -214,7 +218,7 @@ def serialize_distribution(obj, metadata=None):
         labels = _emit_json([str(l) for l in obj.labels])
         body = f'"kind": "discrete", "labels": {labels}, "values": {_emit_json(list(obj.values))}'
     elif isinstance(obj, PiecewisePossibility):
-        body = f'"kind": "piecewise_linear", "points": {_points_json(obj.points)}'
+        body = f'"kind": "piecewise_linear", "points": {_points_json(obj.xs, obj.vs)}'
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if metadata:
@@ -223,19 +227,20 @@ def serialize_distribution(obj, metadata=None):
 
 
 def serialize_tau(tau):
-    return f'{{"kind": "tau", "points": {_points_json(tau.points)}}}\n'
+    return f'{{"kind": "tau", "points": {_points_json(tau.xs, tau.vs)}}}\n'
 
 
 def emit_csv(data, path):
     """Write a convergence series or an (x, v) curve sample as CSV."""
     if isinstance(data, ConvergenceSeries):
-        header = "n,u,approx_info"
-        rows = [
-            f"{e.n},{_fmt_number(e.u_value)},{_fmt_number(e.approx_info)}" for e in data
-        ]
+        rows = (f"{e.n},{_fmt_number(e.u_value)},{_fmt_number(e.approx_info)}\n" for e in data)
+        text = "n,u,approx_info\n" + "".join(rows)
     else:
-        header = "x,v"
-        rows = _pair_rows(data, ",")
+        pairs = list(data)
+        flat = _flat_pairs(pairs, {tuple, list}, {float})
+        if flat is not None and all(map(math.isfinite, flat)):
+            text = "x,v\n" + _pairs_text(flat, "%.17g,%.17g\n", "")
+        else:  # ints, and the first bool or non-finite number raising, by _fmt_number's rules
+            text = "x,v\n" + "".join(f"{_fmt_number(x)},{_fmt_number(v)}\n" for x, v in pairs)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join([header, *rows]))
-        fh.write("\n")
+        fh.write(text)

@@ -90,9 +90,10 @@ class Tau(PiecewisePossibility):
 
     def __init__(self, breakpoints):
         super().__init__(breakpoints)
-        if self.vs[0] != 0.0 or self.vs[-1] != 1.0:
+        vs = self._vs
+        if vs[0] != 0.0 or vs[-1] != 1.0:
             raise ValueError("tau must map 0 to 0 and 1 to 1")
-        if not (self.vs[1:] >= self.vs[:-1]).all():
+        if np.count_nonzero(vs[1:] < vs[:-1]):  # vs holds no NaN, being inside [0, 1]
             raise ValueError("tau-coordinates must be nondecreasing")
 
     @classmethod

@@ -39,7 +39,6 @@ from possinfo import (
     big_k,
 )
 from possinfo.discrete import NORMALIZATION_TOL
-from possinfo.documents import _number_list
 from possinfo.inference import (
     _FEAS_TOL,
     _MIN_DIST_SIZE,
@@ -866,14 +865,17 @@ def min_distance_by_descent(problem):
 
 
 def point_list_by_pairs(raw, where):
-    """Decoded [x, v] pairs read one by one, each through the number-list reader."""
+    """Decoded [x, v] pairs read one by one and number by number, bool not counting as a number."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where} must be an array of [x, v] pairs")
     out = []
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}[{i}] must be a two-element array")
-        out.append(tuple(_number_list(pair, f"{where}[{i}]")))
+        for j, v in enumerate(pair):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"{where}[{i}][{j}] must be a number, got {v!r}")
+        out.append((float(pair[0]), float(pair[1])))
     return out
 
 

@@ -157,7 +157,9 @@ class TestConstruction:
 
     def test_array_input_matches_pairs(self):
         pts = [(0.0, 0.25), (0.5, 1.0), (1.0, 0.0)]
-        f = PiecewisePossibility(np.array(pts))
+        arr = np.array(pts)
+        f = PiecewisePossibility(arr)
+        arr[1, 1] = 0.5  # the caller's array stays writable and is not shared
         assert f == PiecewisePossibility(iter(pts)) and f.points == tuple(pts)
 
     def test_arrays_are_read_only(self):

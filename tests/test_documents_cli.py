@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import point_list_by_pairs
 from hypothesis import given, settings
@@ -20,14 +21,17 @@ from possinfo import (
     SchemaError,
     Tau,
     emit_csv,
+    level_measure,
     parse_distribution,
     parse_problem,
     parse_tau,
+    rearrange,
+    sample_function,
     serialize_distribution,
     serialize_tau,
 )
 from possinfo.cli import run_command
-from possinfo.documents import _emit_json, _fmt_number, _point_list
+from possinfo.documents import _emit_json, _fmt_number, _json_int, _point_list
 
 
 class TestParseDistribution:
@@ -313,6 +317,165 @@ class TestPointDocuments:
         raw = [[0, 1], [-0.0, 5e-324], [0.1, 1], [10**20, 0.30000000000000004], [1, 0.0]]
         got, expected = _point_list(raw, "p"), point_list_by_pairs(raw, "p")
         assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in expected]
+
+
+MALFORMED = [True, "0.5", None, [1], [1, 2, 3], {}, 0.5, [0.5, False]]
+WIDE_INTS = [10**20, 2**63 + 1, -(2**63) - 1, 2**64 + 2**11 + 1]
+_inner_xs = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from([5e-324, 1 - 2**-53])
+_unit_numbers = st.floats(0.0, 1.0) | st.sampled_from(ADVERSARIAL + [0, 1])
+
+
+@st.composite
+def point_lists(draw, tau=False, past_float_range=False):
+    """Decoded points of a curve (or a tau) mixing floats and ints, mostly valid.
+
+    One number may be replaced by any float, a wide integer or (with ``past_float_range``) an
+    integer past the float range, and one item at a random index by a malformed one.
+    """
+    inner = sorted(set(draw(st.lists(_inner_xs, max_size=6))))
+    xs = [draw(st.sampled_from([0, 0.0, -0.0])), *inner, draw(st.sampled_from([1, 1.0]))]
+    vs = draw(st.lists(_unit_numbers, min_size=len(xs), max_size=len(xs)))
+    if tau:
+        vs = [0, *sorted(vs[1:-1]), 1]
+    points = [[x, v] for x, v in zip(xs, vs)]
+    wide = WIDE_INTS + ([10**400, -(10**400)] if past_float_range else [])
+    if draw(st.booleans()):
+        number = draw(st.floats() | st.integers(-(2**70), 2**70) | st.sampled_from(wide))
+        points[draw(st.integers(0, len(points) - 1))][draw(st.integers(0, 1))] = number
+    if draw(st.booleans()):
+        points[draw(st.integers(0, len(points) - 1))] = draw(st.sampled_from(MALFORMED))
+    return points
+
+
+def _hex_rows(rows):
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+def _outcome(fn, *args):
+    """("ok", value) or ("error", message) of a reader call."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:  # SchemaError is one
+        return "error", str(e)
+
+
+@st.composite
+def curve_points(draw, tau=False):
+    inner = sorted(set(draw(st.lists(_inner_xs | st.sampled_from([0.1, 0.5]), max_size=8))))
+    xs = [draw(st.sampled_from([0.0, -0.0])), *inner, 1.0]
+    vs = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(ADVERSARIAL), min_size=len(xs),
+                       max_size=len(xs)))
+    return list(zip(xs, [0.0, *sorted(vs[1:-1]), 1.0] if tau else vs))
+
+
+_csv_numbers = st.floats() | st.integers(-(2**70), 2**70) | st.sampled_from(ADVERSARIAL + WIDE_INTS + [True])
+
+
+class TestPointArrays:
+    """Generated point lists through the array reader and the one-pass writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_lists())
+    def test_reader_matches_per_pair_reader(self, raw):
+        got = _outcome(lambda: _hex_rows(_point_list(raw, "'points'").tolist()))
+        assert got == _outcome(lambda: _hex_rows(point_list_by_pairs(raw, "'points'")))
+        if got[0] == "error":
+            assert got[1].startswith("'points'[")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda tau: st.tuples(st.just(tau), point_lists(tau, True))))
+    def test_parsers_match_per_pair_reader(self, case):
+        tau, raw = case
+        kind, cls, parse = ("tau", Tau, parse_tau) if tau else (
+            "piecewise_linear", PiecewisePossibility, parse_distribution)
+        text = json.dumps({"kind": kind, "points": raw})
+        # integer literals past the float range decode as +-inf, as in the library
+        decoded = json.loads(text, parse_int=_json_int)["points"]
+        expected = _outcome(lambda: cls(point_list_by_pairs(decoded, "'points'")))
+        got = _outcome(parse, text)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            got, expected = got[1], expected[1]
+            assert type(got) is cls
+            assert _hex_rows(zip(got.xs.tolist(), got.vs.tolist())) == _hex_rows(expected.points)
+        else:
+            assert got[1] == expected[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_points(), st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(ADVERSARIAL))
+    def test_curve_bytes_match_generic_writer(self, points, value):
+        f = PiecewisePossibility(points)
+        assert serialize_distribution(f) == _generic_points_document("piecewise_linear", f.points)
+        meta = {"objective": "x", "objective_value": value}
+        assert serialize_distribution(f, metadata=meta) == _generic_points_document(
+            "piecewise_linear", f.points, meta
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_points(tau=True))
+    def test_tau_bytes_match_generic_writer(self, points):
+        tau = Tau(points)
+        assert serialize_tau(tau) == _generic_points_document("tau", tau.points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_csv_numbers, _csv_numbers) | st.lists(_csv_numbers, min_size=2, max_size=2),
+                    max_size=12))
+    def test_csv_bytes_or_error_match_generic_writer(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.unlink(missing_ok=True)
+        expected = _raised(_generic_csv_rows, pairs)
+        assert _raised(emit_csv, pairs, path) == expected
+        if expected is None:
+            assert path.read_bytes() == ("x,v\n" + _generic_csv_rows(pairs)).encode()
+        else:
+            assert not path.exists()
+
+    @pytest.mark.parametrize("cls", [PiecewisePossibility, Tau])
+    def test_ten_thousand_breakpoints_round_trip(self, cls):
+        rng = np.random.default_rng(7)
+        xs = np.unique(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 9_998))))
+        vs = rng.uniform(0.0, 1.0, len(xs))
+        if cls is Tau:
+            vs = np.concatenate(([0.0], np.sort(vs[1:-1]), [1.0]))
+        f = cls(np.column_stack((xs, vs)))
+        write, parse = (serialize_tau, parse_tau) if cls is Tau else (
+            serialize_distribution, parse_distribution)
+        text = write(f)
+        g = parse(text)
+        assert len(g.xs) > 9_990 and g == f and write(g) == text
+        assert text == _generic_points_document("tau" if cls is Tau else "piecewise_linear", f.points)
+
+
+class TestLargeDocumentCli:
+    """Commands on 10^3-breakpoint cosine documents print and write what the per-pair paths did."""
+
+    @pytest.fixture
+    def cosines(self, docs):
+        curves = [sample_function(lambda x, k=k: 0.5 + 0.5 * np.cos(k * np.pi * x), 1_000) for k in (6, 5)]
+        paths = [docs(f"cos{i}.json", {"kind": "piecewise_linear", "points": [list(p) for p in f.points]})
+                 for i, f in enumerate(curves)]
+        return curves, paths
+
+    def test_rearrange_writes_the_generic_bytes(self, cosines, tmp_path):
+        (f, _), (path, _) = cosines
+        out = tmp_path / "r.json"
+        assert run_command(["rearrange", path, "--out", str(out)]) == 0
+        expected = _generic_points_document("piecewise_linear", rearrange(level_measure(f)).points)
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["info", "A"], 0, "0.824235\n", ""),
+        (["info", "B", "--bits"], 0, "1.189093\n", ""),
+        (["distance", "A", "B", "--metric", "G", "--continuous"], 0, "0.786009\n", ""),
+        (["distance", "A", "B", "--metric", "H", "--continuous"], 0, "1.575837\n", ""),
+        (["distance", "A", "B", "--metric", "K", "--continuous"], 0, "0.393014\n", ""),
+        (["distance", "A", "B", "--metric", "g", "--continuous"], 3, "",
+         "error:math: pointwise order violated at x=0.182182: 0.0212313 > 0.0194559\n"),
+    ])
+    def test_printed_values_are_pinned(self, cosines, capsys, argv, code, out, err):
+        _, (a, b) = cosines
+        assert run_command([{"A": a, "B": b}.get(arg, arg) for arg in argv]) == code
+        assert capsys.readouterr() == (out, err)
 
 
 def _problem(**fields):
