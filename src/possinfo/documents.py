@@ -34,25 +34,11 @@ def _fmt_number(x):
     return format(x, ".17g")
 
 
-def _pairs_text(flat, row, sep):
-    """``row % (x, v)`` per pair of finite floats ``[x0, v0, x1, ...]`` in one pass, ``sep`` between."""
-    # '%.17g' writes the bytes format(x, ".17g") does
-    return sep.join([row] * (len(flat) // 2)) % tuple(flat)
-
-
-def _flat_pairs(pairs, pair_types, number_types):
-    """``[x0, v0, x1, ...]``, or None unless each pair and number has one of the exact types given."""
-    if set(map(type, pairs)) <= pair_types and set(map(len, pairs)) <= {2}:
-        flat = list(chain.from_iterable(pairs))
-        if set(map(type, flat)) <= number_types:
-            return flat
-    return None
-
-
 def _points_json(xs, vs):
     """The JSON array ``[[x, v], ...]`` of a curve's breakpoints, as ``_emit_json`` writes it."""
     flat = np.column_stack((xs, vs)).ravel().tolist()
-    return f"[{_pairs_text(flat, '[%.17g, %.17g]', ', ')}]"
+    # one pass; '%.17g' writes the bytes format(x, ".17g") does, and curve values are finite
+    return "[" + ", ".join(["[%.17g, %.17g]"] * len(xs)) % tuple(flat) + "]"
 
 
 def _emit_json(value):
@@ -135,9 +121,10 @@ def _point_list(raw, where):
     """Decoded JSON ``[[x, v], ...]`` as an (n, 2) float array; the first malformed pair raises."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where} must be an array of [x, v] pairs")
-    flat = _flat_pairs(raw, {list}, _JSON_NUMBERS)
-    if flat is not None:
-        return np.array(flat, dtype=float).reshape(-1, 2)
+    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+        flat = list(chain.from_iterable(raw))
+        if set(map(type, flat)) <= _JSON_NUMBERS:
+            return np.array(flat, dtype=float).reshape(-1, 2)
     # a failed pass has a first bad pair, which this scan names
     for i, pair in enumerate(raw):
         if type(pair) is not list or len(pair) != 2:
@@ -200,7 +187,8 @@ def parse_problem(text):
         objective = MaxU()
     elif obj_type == "min_distance":
         metric = raw_obj.get("metric", "G")
-        prior = _distribution(_field(raw_obj, "prior", "'objective'"))
+        prior_doc = _field(raw_obj, "prior", "'objective'")
+        prior = _distribution(prior_doc)
         if not isinstance(prior, DiscreteDistribution):
             raise SchemaError("'objective.prior' must be a discrete distribution")
         objective = _construct(MinDistance, prior, metric, where="'objective': ")
@@ -209,7 +197,9 @@ def parse_problem(text):
     require_normalized = doc.get("require_normalized", True)
     if not isinstance(require_normalized, bool):
         raise SchemaError("'require_normalized' must be a boolean")
-    return _construct(InferenceProblem, labels, tuple(constraints), objective, require_normalized)
+    return _construct(
+        InferenceProblem, labels, tuple(constraints), objective, require_normalized
+    )
 
 
 def serialize_distribution(obj, metadata=None):
@@ -233,14 +223,13 @@ def serialize_tau(tau):
 def emit_csv(data, path):
     """Write a convergence series or an (x, v) curve sample as CSV."""
     if isinstance(data, ConvergenceSeries):
-        rows = (f"{e.n},{_fmt_number(e.u_value)},{_fmt_number(e.approx_info)}\n" for e in data)
-        text = "n,u,approx_info\n" + "".join(rows)
+        header = "n,u,approx_info"
+        rows = [
+            f"{e.n},{_fmt_number(e.u_value)},{_fmt_number(e.approx_info)}" for e in data
+        ]
     else:
-        pairs = list(data)
-        flat = _flat_pairs(pairs, {tuple, list}, {float})
-        if flat is not None and all(map(math.isfinite, flat)):
-            text = "x,v\n" + _pairs_text(flat, "%.17g,%.17g\n", "")
-        else:  # ints, and the first bool or non-finite number raising, by _fmt_number's rules
-            text = "x,v\n" + "".join(f"{_fmt_number(x)},{_fmt_number(v)}\n" for x, v in pairs)
+        header = "x,v"
+        rows = [f"{_fmt_number(x)},{_fmt_number(v)}" for x, v in data]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write("\n".join([header, *rows]))
+        fh.write("\n")
