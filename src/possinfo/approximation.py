@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DiscreteDistribution
-from .measures import _u_of_ascending, _u_of_values
+from .measures import _u_of_descending
 
 _GRIDS = ("left", "right")
 
@@ -112,15 +112,11 @@ def discretize(f, n, grid="left"):
 def _u_of_sample(values, order):
     """``_u_of_values(values)`` bit for bit, given the order ``_sample`` found.
 
-    Only samples out of order are sorted.  The ascending array is
-    C-contiguous like ``np.sort``'s output, since the rounding of U's dot
-    product depends on the memory layout.
+    Only samples out of order are sorted; descending samples are read in place.
     """
-    if order > 0:
-        return float(_u_of_ascending(np.ascontiguousarray(values)))
-    if order < 0:
-        return float(_u_of_ascending(values[::-1].copy()))
-    return _u_of_values(values)
+    if not order:
+        values = np.sort(values)
+    return float(_u_of_descending(values if order < 0 else values[::-1]))
 
 
 def _require_normalized(f):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .discrete import DiscreteDistribution
 from .errors import InfeasibleProblemError
-from .measures import (_log_weights, _u_of_ascending, _u_of_rows, _u_of_values, big_g, big_k,
+from .measures import (_log_weights, _u_of_descending, _u_of_rows, _u_of_values, big_g, big_k,
                        u_uncertainty)
 
 _MAX_U_SIZE = 8
@@ -657,7 +657,7 @@ def solve_min_distance(problem):
 
 
 def _inserted(ascending, x):
-    """The rows of ``ascending`` with x inserted, C-contiguous: what np.sort gives.
+    """The rows of ``ascending`` with x inserted, still ascending.
 
     Entry c of a row is max(a_c-1, min(a_c, x)), with a_-1 = -inf and a_k = inf.
     """
@@ -708,9 +708,9 @@ def brute_force_oracle(problem, resolution):
             continue
         feasible_count += len(rows)
         sorted_tails = tails[rows]
-        obj = _u_of_ascending(_inserted(sorted_tails[:, :n - 1], v0))
+        obj = _u_of_descending(_inserted(sorted_tails[:, :n - 1], v0)[:, ::-1])
         if minimize:  # track maxima uniformly
-            uj = _u_of_ascending(_inserted(sorted_tails[:, n - 1:], max(v0, prior[0])))
+            uj = _u_of_descending(_inserted(sorted_tails[:, n - 1:], max(v0, prior[0]))[:, ::-1])
             obj = -((uj - obj) + (uj - up) if metric == "G" else uj - np.minimum(obj, up))
         top = obj.max()
         # rows and slices ascend lexicographically: the last tied point is the largest

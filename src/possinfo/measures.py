@@ -42,25 +42,27 @@ def _log_weights(n):
     # (ln 2 - ln 1, ..., ln n - ln(n-1)) as a read-only view; empty for n <= 1.
     # The weights are elementwise, so those for n are a bit-for-bit prefix of
     # those for any larger n and one table serves every n.  It is rebuilt to
-    # fit the largest n asked for (at least 64 weights) and never shrinks: it
-    # holds 8 bytes per value of the largest sample for the life of the
-    # process, 8 MB after n = 10**6.
+    # fit the largest n asked for (at least 64 weights) and never shrinks: 8 MB
+    # after n = 10**6.  It is stored last weight first and read through a
+    # reversed view.  numpy hands a product to BLAS only when every stride is
+    # positive, so that negative stride makes ``x @ _log_weights(n)`` add
+    # x_i * w_i in index order whatever the layout of x: it fixes U's bits.
     global _WEIGHTS
     if n - 1 > _WEIGHTS.size:
-        logs = np.arange(1.0, max(n, 65) + 1.0)
-        _WEIGHTS = np.diff(np.log(logs, out=logs))
+        logs = np.arange(max(n, 65), 0.0, -1.0)  # largest first
+        _WEIGHTS = np.log(logs, out=logs)[:-1] - logs[1:]
         _WEIGHTS.flags.writeable = False
-    return _WEIGHTS[: max(n - 1, 0)]
+    return _WEIGHTS[::-1][: max(n - 1, 0)]
 
 
-def _u_of_ascending(p):
-    """U of each row of a C-contiguous p already sorted ascending along the last axis."""
-    return p[..., ::-1][..., 1:] @ _log_weights(p.shape[-1])  # 0.0 for one value
+def _u_of_descending(p):
+    """U of each row of p, sorted descending along the last axis, in any memory layout."""
+    return p[..., 1:] @ _log_weights(p.shape[-1])  # 0.0 for one value
 
 
 def _u_of_rows(values):
     """U of each row (last axis); a row and the same values alone agree bit for bit."""
-    return _u_of_ascending(np.sort(values, axis=-1))
+    return _u_of_descending(np.sort(values, axis=-1)[..., ::-1])
 
 
 def _u_of_values(values):

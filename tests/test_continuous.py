@@ -203,6 +203,9 @@ class TestConstruction:
         P = LevelMeasure([0.0, 0.5, 1.0], [(0.5, -1.0), (0.0, -1.0, 0.0)], total=1.0)
         assert P.coeffs == ((0.5, -1.0, 0.0), (0.0, -1.0, 0.0))
         assert P == LevelMeasure((0.0, 0.5, 1.0), np.array(P.coeffs), 1.0)
+        # bounds from any iterable; other types are not level measures
+        assert LevelMeasure((b for b in (0.0, 0.5, 1.0)), P.coeffs, 1.0) == P
+        assert (P == (1,)) is False and (P != "x") is True
 
 
 class TestSampleFunction:

@@ -121,6 +121,15 @@ class TestRoundTrip:
         f = PiecewisePossibility(list(zip(xs, values)))
         assert parse_distribution(serialize_distribution(f)) == f
 
+    def test_metadata_literals(self):
+        d = DiscreteDistribution(("a", "b"), (1.0, 0.5))
+        metadata = {"note": None, "exact": True, "pruned": False}
+        text = serialize_distribution(d, metadata=metadata)
+        assert text == ('{"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5], '
+                        '"metadata": {"note": null, "exact": true, "pruned": false}}\n')
+        assert json.loads(text) == {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5],
+                                    "metadata": metadata}
+
     def test_seventeen_digit_numbers(self):
         d = DiscreteDistribution(("a",), (0.1 + 0.2,))
         text = serialize_distribution(d)
@@ -766,11 +775,20 @@ class TestCli:
              "need at least two breakpoints"),
             ("tau", {"kind": "discrete", "labels": ["a", "b"], "values": [1, 0.5]},
              "expected a document with kind 'tau'"),
+            ("infer", _problem(objective=_min_distance({"kind": "discrete", "labels": ["a", "b"],
+                                                        "values": [1, "0.5"]})),
+             "'values'[1] must be a number, got '0.5'"),
+            ("infer", _problem(objective=_min_distance({"kind": "discrete", "labels": ["a", "b"],
+                                                        "values": [1, True]})),
+             "'values'[1] must be a number, got True"),
+            ("infer", _problem(constraints=[{"coefficients": [None, 1], "relation": "<=", "bound": 1}]),
+             "constraints[0].coefficients[0] must be a number, got None"),
         ],
         ids=["root_not_object", "constraints_not_array", "constraint_not_object", "bound_a_string",
              "bound_a_boolean", "objective_not_object", "unknown_objective", "prior_not_discrete",
              "require_normalized_not_boolean", "labels_not_strings", "values_not_array", "points_not_array",
-             "one_breakpoint", "tau_of_another_kind"],
+             "one_breakpoint", "tau_of_another_kind", "value_a_string", "value_a_boolean",
+             "coefficient_null"],
     )
     def test_malformed_documents_are_one_data_line(self, docs, tmp_path, capsys, command, document, message):
         path, out = docs("doc.json", document), tmp_path / "out.json"

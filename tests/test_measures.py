@@ -23,7 +23,7 @@ from possinfo import (
     permute,
     u_uncertainty,
 )
-from possinfo.measures import _log_weights, _u_of_rows
+from possinfo.measures import _log_weights, _u_of_descending, _u_of_rows
 
 from conftest import (
     random_distribution,
@@ -97,6 +97,40 @@ class TestUUncertainty:
         assert not _log_weights(10).flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             _log_weights(10)[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 10**4, 10**6])
+    def test_descending_row_is_one_sequential_sum_in_every_layout(self, n):
+        # the weight table's negative stride keeps U off BLAS: every layout of a
+        # row gives the bits of s += p_(i) * w_i for i = 2..n; a contiguous
+        # weight view would let BLAS reorder the sum
+        def loop(p):
+            s = 0.0
+            for v, w in zip(p[1:].tolist(), _log_weights(n).tolist()):
+                s += v * w
+            return s.hex()
+
+        rng = np.random.default_rng(20261022 + n)
+        row = np.sort(rng.uniform(0.0, 1.0, n))[::-1].copy()
+        expected = loop(row)
+        fortran = np.asfortranarray(np.stack([row * 0.5, row, row]))
+        stack = np.empty((2, 3, n))
+        stack[...] = row
+        layouts = {
+            "C-contiguous": row,
+            "reversed ascending": np.sort(row)[::-1],
+            "stride 2": np.repeat(row, 2)[::2],
+            "Fortran-order stack row": fortran[1],
+            "3-D stack row": stack[1, 2],
+        }
+        for name, p in layouts.items():
+            assert float(_u_of_descending(p)).hex() == expected, name
+        constant = np.broadcast_to(rng.uniform(), n)  # a stride-0 row
+        assert constant.strides == (0,)
+        assert float(_u_of_descending(constant)).hex() == loop(constant)
+        # whole stacks score every row with the same bits, a stride-0 one too
+        assert [u.hex() for u in _u_of_descending(fortran[1:]).tolist()] == [expected] * 2
+        assert [u.hex() for u in _u_of_descending(np.broadcast_to(row, (3, n))).tolist()] == [expected] * 3
+        assert _u_of_descending(stack).tobytes() == np.full((2, 3), float.fromhex(expected)).tobytes()
 
     def test_matches_level_count_integral(self, rng):
         for _ in range(300):
